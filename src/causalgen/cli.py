@@ -106,6 +106,13 @@ def _load_query(path: str, g: Admg) -> engine.QuerySpec:
         raise InputError(f"{path}: {exc}") from None
 
 
+def _load_scm(path: str) -> scm.DiscreteScm:
+    try:
+        return scm.read_scm(path)
+    except OSError as exc:
+        raise InputError(str(exc)) from None
+
+
 def _print_hedge(hedge, trace):
     for entry in trace:
         print(f"  {entry.describe()}")
@@ -136,11 +143,20 @@ def _load_source(args, g: Admg):
         raise InputError("provide exactly one of --data or --scm")
     if args.data:
         sidecar = Path(args.data).with_suffix(".sidecar.json")
-        data = read_dataset_csv(args.data, sidecar if sidecar.exists() else None)
+        try:
+            data = read_dataset_csv(args.data, sidecar if sidecar.exists() else None)
+        except OSError as exc:
+            raise InputError(str(exc)) from None
         if set(data.names) != set(g.names):
             raise InputError("dataset columns do not match the graph's variables")
+        for v in data.variables:
+            if v.cardinality != g.variable(v.name).cardinality:
+                raise InputError(
+                    f"{args.data}: column {v.name} has cardinality {v.cardinality}, "
+                    f"the graph says {g.variable(v.name).cardinality}"
+                )
         return engine.DatasetSource(data)
-    model = scm.read_scm(args.scm)
+    model = _load_scm(args.scm)
     if model.graph != g:
         raise InputError("scm graph does not match --graph")
     return engine.ExactSource(scm.exact_joint(model))
@@ -292,9 +308,8 @@ def cmd_eval(args) -> int:
             for query in entry.queries:
                 rows.append(_eval_one(entry, query, args, rng))
     elif args.scm and args.query:
-        model = scm.read_scm(args.scm)
-        q = engine.parse_query(Path(args.query).read_text())
-        q.validate(model.graph)
+        model = _load_scm(args.scm)
+        q = _load_query(args.query, model.graph)
         do_names = tuple(n for n, _ in q.do)
         given_names = tuple(n for n, _ in q.given)
         if given_names:
@@ -315,10 +330,7 @@ def cmd_eval(args) -> int:
 def cmd_gen_data(args) -> int:
     if args.n <= 0:
         raise InputError("--n must be positive")
-    try:
-        model = scm.read_scm(args.scm)
-    except OSError as exc:
-        raise InputError(str(exc)) from None
+    model = _load_scm(args.scm)
     rng = np.random.default_rng(args.seed)
     data = scm.sample_observational(model, args.n, rng)
     out = Path(args.out)

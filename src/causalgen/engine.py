@@ -102,7 +102,10 @@ def parse_query(text: str) -> QuerySpec:
                 name, sep, val = item.partition("=")
                 if not sep:
                     raise GraphError(f"query line {lineno}: expected var=value in {item!r}")
-                pairs.append((name.strip(), int(val)))
+                try:
+                    pairs.append((name.strip(), int(val)))
+                except ValueError:
+                    raise GraphError(f"query line {lineno}: value of {name.strip()!r} is not an integer") from None
             if key == "do":
                 do = tuple(pairs)
             else:

@@ -157,6 +157,15 @@ class ConditionalModel:
         return np.clip(draws, 0, self.target.cardinality - 1).astype(np.int64)
 
 
+def _check_table(model: CptModel | ExactConditionalModel) -> None:
+    """The table has shape (context cardinalities..., target cardinality) and rows summing to 1."""
+    expected = tuple(v.cardinality for v in model.context) + (model.target.cardinality,)
+    if model.table.shape != expected:
+        raise DataError(f"table shape {model.table.shape} != {expected}")
+    if not np.allclose(model.table.sum(axis=-1), 1.0, atol=1e-9):
+        raise DataError("conditional rows must sum to 1")
+
+
 @dataclass(frozen=True)
 class CptModel(ConditionalModel):
     """Conditional probability table fitted from data (Laplace-smoothed)."""
@@ -166,13 +175,9 @@ class CptModel(ConditionalModel):
     table: np.ndarray  # shape (context cards..., target card)
 
     def __post_init__(self):
-        expected = tuple(v.cardinality for v in self.context) + (self.target.cardinality,)
-        if self.table.shape != expected:
-            raise DataError(f"table shape {self.table.shape} != {expected}")
+        _check_table(self)
         if np.any(self.table <= 0):
             raise DataError("cpt rows must be strictly positive (smoothed)")
-        if not np.allclose(self.table.sum(axis=-1), 1.0, atol=1e-9):
-            raise DataError("cpt rows must sum to 1")
 
     def conditional_table(self) -> np.ndarray:
         return self.table
@@ -185,6 +190,11 @@ class ExactConditionalModel(ConditionalModel):
     target: Variable
     context: tuple[Variable, ...]
     table: np.ndarray
+
+    def __post_init__(self):
+        _check_table(self)
+        if np.any(self.table < 0):
+            raise DataError("conditional probabilities must be non-negative")
 
     def conditional_table(self) -> np.ndarray:
         return self.table

@@ -3,8 +3,14 @@
 An SCM here is fully tabular: independent categorical noise per variable, one
 categorical latent per confounded pair, and a deterministic mechanism table
 mapping (parent values, noise, incident latents) to an output state. Exact
-joints and interventionals are computed by enumerating the exogenous space,
-which is what every soundness test compares against.
+joints and interventionals, which every soundness test compares against, are
+computed by factor elimination (variable elimination, Koller & Friedman,
+*Probabilistic Graphical Models*, ch. 9): each variable's private noise is
+summed into a kernel P(v | parents, incident latents), and the kernels and
+latent priors are contracted with `np.einsum`, one latent at a time.
+`ENUMERATION_BUDGET` bounds the cells of every table the contraction builds,
+the output joint included, so the cost follows the size of the joint table
+rather than the size of the exogenous space.
 """
 
 from __future__ import annotations
@@ -44,8 +50,7 @@ class DiscreteScm:
         for name in g.names:
             if name not in self.noise or name not in self.mechanisms:
                 raise ScmError(f"missing noise or mechanism for {name}")
-            probs = self.noise[name]
-            if probs.ndim != 1 or probs.min() <= 0 or abs(probs.sum() - 1.0) > 1e-9:
+            if not _is_distribution(self.noise[name]):
                 raise ScmError(f"bad noise distribution for {name}")
             mech = self.mechanisms[name]
             expected = self._mech_shape(name)
@@ -54,7 +59,7 @@ class DiscreteScm:
             if mech.min() < 0 or mech.max() >= g.variable(name).cardinality:
                 raise ScmError(f"mechanism for {name} emits out-of-range states")
         for pair, probs in self.latents.items():
-            if probs.ndim != 1 or probs.min() <= 0 or abs(probs.sum() - 1.0) > 1e-9:
+            if not _is_distribution(probs):
                 raise ScmError(f"bad latent distribution for {pair}")
         joint = exact_joint(self)
         if joint.probs.min() <= 0:
@@ -71,41 +76,25 @@ class DiscreteScm:
         return tuple(shape)
 
 
-def _exogenous_dims(m: DiscreteScm) -> tuple[list[tuple[str, np.ndarray]], list[tuple[tuple[str, str], np.ndarray]]]:
-    noise = [(name, m.noise[name]) for name in m.graph.names]
-    latents = [(pair, m.latents[pair]) for pair in m.graph.latent_pairs()]
-    return noise, latents
-
-
-def _evaluate_mechanisms(
-    m: DiscreteScm,
-    noise_cols: Mapping[str, np.ndarray],
-    latent_cols: Mapping[tuple[str, str], np.ndarray],
-    do: Mapping[str, int],
-) -> dict[str, np.ndarray]:
-    values: dict[str, np.ndarray] = {}
-    for name in m.graph.topological_order():
-        if name in do:
-            n = next(iter(noise_cols.values())).shape[0]
-            values[name] = np.full(n, do[name], dtype=np.int64)
-            continue
-        index = [values[p] for p in m.graph.parents(name)]
-        index.append(noise_cols[name])
-        index.extend(latent_cols[p] for p in m.incident_latents(name))
-        values[name] = m.mechanisms[name][tuple(index)]
-    return values
+def _is_distribution(probs: np.ndarray) -> bool:
+    """Strictly positive 1-d probabilities summing to one (NaN fails every test)."""
+    return probs.ndim == 1 and bool(np.all(probs > 0)) and abs(probs.sum() - 1.0) <= 1e-9
 
 
 def sample_observational(m: DiscreteScm, n: int, rng: np.random.Generator) -> Dataset:
     """Draw exogenous values independently per row and push through the mechanisms."""
     if n <= 0:
         raise ScmError("sample count must be positive")
-    noise, latents = _exogenous_dims(m)
-    noise_cols = {name: _draw(probs, n, rng) for name, probs in noise}
-    latent_cols = {pair: _draw(probs, n, rng) for pair, probs in latents}
-    values = _evaluate_mechanisms(m, noise_cols, latent_cols, {})
-    rows = np.column_stack([values[name] for name in m.graph.names])
-    return Dataset(m.graph.variables, rows)
+    g = m.graph
+    noise = {name: _draw(m.noise[name], n, rng) for name in g.names}
+    latents = {pair: _draw(m.latents[pair], n, rng) for pair in g.latent_pairs()}
+    values: dict[str, np.ndarray] = {}
+    for name in g.topological_order():
+        index = [values[p] for p in g.parents(name)] + [noise[name]]
+        index.extend(latents[p] for p in m.incident_latents(name))
+        values[name] = m.mechanisms[name][tuple(index)]
+    rows = np.column_stack([values[name] for name in g.names])
+    return Dataset(g.variables, rows)
 
 
 def _draw(probs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -114,38 +103,61 @@ def _draw(probs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
     return np.clip(out, 0, probs.shape[0] - 1).astype(np.int64)
 
 
-def _enumerate(m: DiscreteScm, do: Mapping[str, int]) -> DistTable:
-    noise, latents = _exogenous_dims(m)
-    dims = [probs.shape[0] for _, probs in noise] + [probs.shape[0] for _, probs in latents]
-    total = math.prod(dims)
-    if total > ENUMERATION_BUDGET:
-        raise ScmError(f"exogenous space {total} exceeds the enumeration budget")
-    grid = np.indices(dims).reshape(len(dims), total)
-    weights = np.ones(total)
-    for i, (_, probs) in enumerate(noise + latents):
-        weights *= probs[grid[i]]
-    noise_cols = {name: grid[i] for i, (name, _) in enumerate(noise)}
-    latent_cols = {pair: grid[len(noise) + i] for i, (pair, _) in enumerate(latents)}
-    values = _evaluate_mechanisms(m, noise_cols, latent_cols, do)
-    cards = [v.cardinality for v in m.graph.variables]
-    flat = np.zeros(total, dtype=np.int64)
-    for name, card in zip(m.graph.names, cards):
-        flat = flat * card + values[name]
-    probs = np.bincount(flat, weights=weights, minlength=math.prod(cards))
-    return DistTable(m.graph.variables, probs.reshape(tuple(cards)))
+def _kernel(m: DiscreteScm, name: str) -> np.ndarray:
+    """P(name | parents, incident latents): the mechanism with its private noise
+    summed out; axes (parents..., latents..., name)."""
+    states = np.arange(m.graph.variable(name).cardinality)
+    hits = m.mechanisms[name][..., None] == states
+    return np.tensordot(hits, m.noise[name], axes=(len(m.graph.parents(name)), 0))
+
+
+Factor = tuple[tuple, np.ndarray]  # (axis labels: variable names and latent pairs, table)
+
+
+def _product(factors: Sequence[Factor], keep: Sequence) -> np.ndarray:
+    """Multiply the factors and sum out every label not in `keep`."""
+    index: dict = {}
+    dims: dict = {}
+    operands: list = []
+    for labels, table in factors:
+        dims.update(zip(labels, table.shape))
+        operands += [table, [index.setdefault(label, len(index)) for label in labels]]
+    cells = math.prod(dims[label] for label in keep)
+    if cells > ENUMERATION_BUDGET:
+        raise ScmError(f"table of {cells} cells exceeds the enumeration budget")
+    return np.einsum(*operands, [index[label] for label in keep])
+
+
+def _eliminate(m: DiscreteScm, do: Mapping[str, int]) -> DistTable:
+    """P(V | do(...)) with axes in `graph.names` order: kernels (point masses for
+    do-variables) and latent priors, multiplied and summed over each latent."""
+    g = m.graph
+    factors: list[Factor] = []
+    for v in g.variables:
+        if v.name in do:
+            factors.append(((v.name,), np.eye(v.cardinality)[do[v.name]]))
+        else:
+            labels = (*g.parents(v.name), *m.incident_latents(v.name), v.name)
+            factors.append((labels, _kernel(m, v.name)))
+    for pair in g.latent_pairs():
+        group = [((pair,), m.latents[pair])] + [f for f in factors if pair in f[0]]
+        factors = [f for f in factors if pair not in f[0]]
+        keep = tuple(dict.fromkeys(x for labels, _ in group for x in labels if x != pair))
+        factors.append((keep, _product(group, keep)))
+    return DistTable(g.variables, _product(factors, g.names))
 
 
 def exact_joint(m: DiscreteScm) -> DistTable:
-    """Exact observational joint P(V) by exogenous enumeration."""
-    return _enumerate(m, {})
+    """Exact observational joint P(V) by factor elimination."""
+    return _eliminate(m, {})
 
 
 def exact_interventional(m: DiscreteScm, do: Mapping[str, int]) -> DistTable:
-    """Exact P(V | do(...)): mutilate the do-variables to constants and re-enumerate."""
+    """Exact P(V | do(...)): each do-variable's kernel becomes a point mass."""
     for name, value in do.items():
         if not 0 <= value < m.graph.variable(name).cardinality:
             raise ScmError(f"do value {value} out of range for {name}")
-    return _enumerate(m, do)
+    return _eliminate(m, do)
 
 
 # -- metrics ---------------------------------------------------------------------
@@ -332,29 +344,39 @@ def write_scm(m: DiscreteScm, mech_path: str | Path, graph_path: str | Path):
     mech_path.write_text("\n".join(lines) + "\n")
 
 
+# fields a declaration needs at least, its keyword included
+_MIN_FIELDS = {"graph": 2, "noise": 3, "latent": 4, "mech": 4}
+
+
 def read_scm(mech_path: str | Path) -> DiscreteScm:
     mech_path = Path(mech_path)
     graph: Admg | None = None
     noise: dict[str, np.ndarray] = {}
     latents: dict[tuple[str, str], np.ndarray] = {}
-    raw_mech: dict[str, list[tuple[tuple[int, ...], int]]] = {}
+    raw_mech: dict[str, list[tuple[tuple[int, ...], int, int]]] = {}
     for lineno, rawline in enumerate(mech_path.read_text().splitlines(), start=1):
         line = rawline.split("#", 1)[0].strip()
         if not line:
             continue
         fields = line.split()
         kind = fields[0]
-        if kind == "graph":
-            graph = parse_graph((mech_path.parent / fields[1]).read_text())
-        elif kind == "noise":
-            noise[fields[1]] = np.array([float(f) for f in fields[2:]])
-        elif kind == "latent":
-            latents[(fields[1], fields[2])] = np.array([float(f) for f in fields[3:]])
-        elif kind == "mech":
-            idx = tuple(int(f) for f in fields[2:-1])
-            raw_mech.setdefault(fields[1], []).append((idx, int(fields[-1])))
-        else:
-            raise ScmError(f"{mech_path}:{lineno}: unknown declaration {kind!r}")
+        where = f"{mech_path}:{lineno}"
+        if kind not in _MIN_FIELDS:
+            raise ScmError(f"{where}: unknown declaration {kind!r}")
+        if len(fields) < _MIN_FIELDS[kind]:
+            raise ScmError(f"{where}: {kind} needs at least {_MIN_FIELDS[kind] - 1} fields")
+        try:
+            if kind == "graph":
+                graph = parse_graph((mech_path.parent / fields[1]).read_text())
+            elif kind == "noise":
+                noise[fields[1]] = np.array([float(f) for f in fields[2:]])
+            elif kind == "latent":
+                latents[(fields[1], fields[2])] = np.array([float(f) for f in fields[3:]])
+            else:
+                idx = tuple(int(f) for f in fields[2:-1])
+                raw_mech.setdefault(fields[1], []).append((idx, int(fields[-1]), lineno))
+        except (OSError, ValueError) as exc:  # ValueError covers GraphError and bad numbers
+            raise ScmError(f"{where}: {exc}") from None
     if graph is None:
         raise ScmError(f"{mech_path}: missing graph declaration")
     mechanisms: dict[str, np.ndarray] = {}
@@ -362,11 +384,18 @@ def read_scm(mech_path: str | Path) -> DiscreteScm:
         rows = raw_mech.get(name, [])
         if not rows:
             raise ScmError(f"{mech_path}: no mechanism rows for {name}")
-        shape = tuple(max(i[d] for i, _ in rows) + 1 for d in range(len(rows[0][0])))
-        if len(rows) != math.prod(shape):
+        cells: dict[tuple[int, ...], int] = {}
+        for idx, value, lineno in rows:
+            if len(idx) != len(rows[0][0]) or min(idx) < 0 or idx in cells:
+                raise ScmError(f"{mech_path}:{lineno}: mechanism row for {name} is out of shape or repeated")
+            if not 0 <= value < graph.variable(name).cardinality:
+                raise ScmError(f"{mech_path}:{lineno}: mechanism for {name} emits out-of-range state {value}")
+            cells[idx] = value
+        shape = tuple(max(i[d] for i in cells) + 1 for d in range(len(rows[0][0])))
+        if len(cells) != math.prod(shape):
             raise ScmError(f"{mech_path}: incomplete mechanism table for {name}")
         table = np.zeros(shape, dtype=np.int64)
-        for idx, value in rows:
+        for idx, value in cells.items():
             table[idx] = value
         mechanisms[name] = table
     canonical = {tuple(sorted(p, key=graph.index)): probs for p, probs in latents.items()}

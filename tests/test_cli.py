@@ -8,7 +8,7 @@ from causalgen.cli import main
 from causalgen.graphs import format_graph
 from causalgen.models import read_dataset_csv
 from causalgen.scm import catalog_entry, write_scm
-from conftest import bow_graph
+from conftest import admg, bow_graph
 
 
 @pytest.fixture
@@ -17,6 +17,15 @@ def frontdoor_files(tmp_path):
     write_scm(entry.scm, tmp_path / "frontdoor.scm", tmp_path / "frontdoor.graph")
     (tmp_path / "query.txt").write_text("target=R\ndo=X=1\n")
     return tmp_path
+
+
+def assert_input_error(capsys, argv, fragment):
+    """Exit 1 with a one-line `error:` message naming `fragment`, no traceback."""
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert fragment in err
 
 
 class TestIdentify:
@@ -179,3 +188,41 @@ class TestEval:
         out = capsys.readouterr().out
         assert code == 0
         assert "HEDGE" in out
+
+
+class TestIngressErrors:
+    @pytest.mark.parametrize("command", ["identify", "sample", "eval"])
+    def test_non_integer_query_value(self, frontdoor_files, capsys, command):
+        (frontdoor_files / "bad.txt").write_text("target=R\ndo=X=a\n")
+        argv = {
+            "identify": ["identify", "--graph", str(frontdoor_files / "frontdoor.graph")],
+            "sample": ["sample", "--graph", str(frontdoor_files / "frontdoor.graph"),
+                       "--scm", str(frontdoor_files / "frontdoor.scm"), "--out", str(frontdoor_files / "o")],
+            "eval": ["eval", "--scm", str(frontdoor_files / "frontdoor.scm")],
+        }[command]
+        assert_input_error(capsys, argv + ["--query", str(frontdoor_files / "bad.txt")], "not an integer")
+
+    def test_eval_missing_scm(self, frontdoor_files, capsys):
+        assert_input_error(capsys, ["eval", "--scm", str(frontdoor_files / "missing.scm"),
+                                    "--query", str(frontdoor_files / "query.txt")], "missing.scm")
+
+    def test_eval_missing_query(self, frontdoor_files, capsys):
+        assert_input_error(capsys, ["eval", "--scm", str(frontdoor_files / "frontdoor.scm"),
+                                    "--query", str(frontdoor_files / "missing.txt")], "missing.txt")
+
+    def test_sample_missing_data(self, frontdoor_files, capsys):
+        assert_input_error(capsys, ["sample", "--graph", str(frontdoor_files / "frontdoor.graph"),
+                                    "--query", str(frontdoor_files / "query.txt"),
+                                    "--data", str(frontdoor_files / "missing.csv"),
+                                    "--out", str(frontdoor_files / "o")], "missing.csv")
+
+    def test_sample_data_cardinality_mismatch(self, tmp_path, capsys):
+        # S has 3 states in the graph, but the csv (no sidecar) only shows 0 and 1
+        g = admg([("X", 2), ("S", 3), ("R", 2)], [("X", "S"), ("S", "R")], [("X", "R")])
+        (tmp_path / "g.graph").write_text(format_graph(g))
+        (tmp_path / "q.txt").write_text("target=R\ndo=X=1\n")
+        rows = [f"{i % 2},{(i // 2) % 2},{(i // 4) % 2}" for i in range(64)]
+        (tmp_path / "obs.csv").write_text("X,S,R\n" + "\n".join(rows) + "\n")
+        assert_input_error(capsys, ["sample", "--graph", str(tmp_path / "g.graph"),
+                                    "--query", str(tmp_path / "q.txt"), "--data", str(tmp_path / "obs.csv"),
+                                    "--out", str(tmp_path / "o")], "column S")

@@ -1,0 +1,79 @@
+"""Property tests for the text parsers: every input either parses or raises the
+parser's own error type, never an IndexError, ValueError or the like."""
+
+from __future__ import annotations
+
+import pytest
+
+pytest.importorskip("hypothesis")  # dev-only dependency
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from causalgen.engine import parse_query
+from causalgen.graphs import GraphError
+from causalgen.scm import ScmError, catalog_entry, read_scm, write_scm
+from conftest import frontdoor_graph
+
+TOKENS = st.one_of(
+    st.sampled_from(
+        ["X", "S", "R", "Q", "0", "1", "2", "7", "-1", "0.5", "0.4", "0.6", "1.0", "nan", "inf",
+         "1e999", "99999999999999999999", "zz", "=", ",", "fd.graph", "missing.graph", "."]
+    ),
+    st.text(max_size=4),
+)
+FUZZ = settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@st.composite
+def query_texts(draw):
+    lines = []
+    for _ in range(draw(st.integers(0, 4))):
+        key = draw(st.sampled_from(["target", "do", "given", "junk", ""]))
+        items = draw(st.lists(st.tuples(TOKENS, st.sampled_from(["=", ""]), TOKENS), max_size=3))
+        lines.append(key + "=" + ",".join(a + sep + b for a, sep, b in items))
+    return "\n".join(lines)
+
+
+@FUZZ
+@given(st.one_of(query_texts(), st.text(max_size=40)))
+def test_parse_query_parses_or_raises_graph_error(text):
+    try:
+        parse_query(text).validate(frontdoor_graph())
+    except GraphError:
+        pass
+
+
+@st.composite
+def scm_texts(draw, base_lines):
+    """The frontdoor SCM file with a few fields replaced, lines cut short or added."""
+    lines = [line.split() for line in base_lines]
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["replace", "truncate", "insert"]))
+        if op == "replace" and lines[i]:
+            lines[i][draw(st.integers(0, len(lines[i]) - 1))] = draw(TOKENS)
+        elif op == "truncate":
+            lines[i] = lines[i][: draw(st.integers(0, len(lines[i])))]
+        else:
+            kind = draw(st.sampled_from(["graph", "noise", "latent", "mech", "other"]))
+            lines.insert(i, [kind] + draw(st.lists(TOKENS, max_size=5)))
+    return "\n".join(" ".join(fields) for fields in lines)
+
+
+@pytest.fixture
+def scm_dir(tmp_path):
+    write_scm(catalog_entry("frontdoor").scm, tmp_path / "fd.scm", tmp_path / "fd.graph")
+    return tmp_path
+
+
+@FUZZ
+@given(data=st.data())
+def test_read_scm_parses_or_raises_scm_error(scm_dir, data):
+    base = (scm_dir / "fd.scm").read_text().splitlines()
+    text = data.draw(st.one_of(scm_texts(base), st.text(max_size=40)))
+    (scm_dir / "fuzz.scm").write_text(text)
+    try:
+        read_scm(scm_dir / "fuzz.scm")
+    except (GraphError, ScmError):
+        pass

@@ -8,6 +8,7 @@ from causalgen.models import (
     CptModel,
     DataError,
     Dataset,
+    ExactConditionalModel,
     exact_conditional,
     fit_conditional,
     read_dataset_csv,
@@ -159,6 +160,13 @@ class TestExactConditional:
             for s in range(2):
                 expected = p[x, s] / p[x, s].sum()
                 assert np.abs(cond.table[x, s] - expected).max() < 1e-12
+
+    @pytest.mark.parametrize(
+        "table", [np.full((3, 2), 0.5), np.array([[0.5, 0.4], [0.5, 0.5]]), np.array([[1.5, -0.5], [0.5, 0.5]])]
+    )
+    def test_rejects_bad_table(self, table):
+        with pytest.raises(DataError):
+            ExactConditionalModel(Variable("Y", 2), (Variable("X", 2),), table)
 
     def test_zero_mass_context_raises(self):
         from causalgen.estimands import DistTable

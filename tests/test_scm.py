@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,67 @@ from causalgen.scm import (
     tvd,
     write_scm,
 )
-from conftest import admg, chain_graph, frontdoor_graph
+from conftest import admg, chain_graph, frontdoor_graph, random_admg
+
+
+def enumerate_reference(m: DiscreteScm, do) -> DistTable:
+    """Brute-force oracle: push every exogenous state (noise per variable, one
+    latent per confounded pair) through the mechanisms and add up its weight."""
+    g = m.graph
+    pairs = g.latent_pairs()
+    priors = [m.noise[name] for name in g.names] + [m.latents[p] for p in pairs]
+    dims = [p.shape[0] for p in priors]
+    total = math.prod(dims)
+    grid = np.indices(dims).reshape(len(dims), total)
+    weights = np.ones(total)
+    for axis, probs in enumerate(priors):
+        weights *= probs[grid[axis]]
+    noise = dict(zip(g.names, grid))
+    latent = dict(zip(pairs, grid[len(g.names):]))
+    values = {}
+    for name in g.topological_order():
+        if name in do:
+            values[name] = np.full(total, do[name])
+            continue
+        index = [values[p] for p in g.parents(name)] + [noise[name]]
+        index += [latent[p] for p in m.incident_latents(name)]
+        values[name] = m.mechanisms[name][tuple(index)]
+    cards = [v.cardinality for v in g.variables]
+    flat = np.ravel_multi_index([values[name] for name in g.names], cards)
+    probs = np.bincount(flat, weights=weights, minlength=math.prod(cards))
+    return DistTable(g.variables, probs.reshape(cards))
+
+
+def confounded_chain(n: int):
+    """V0 -> ... -> V(n-1) with V0 <-> V(n-1)."""
+    names = " ".join(f"V{i}" for i in range(n))
+    return admg(names, [(f"V{i}", f"V{i + 1}") for i in range(n - 1)], [("V0", f"V{n - 1}")])
+
+
+def random_mechanism_scm(g, rng) -> DiscreteScm:
+    """Random noise, latent priors and mechanism tables; the last k noise states
+    emit state 0..k-1 regardless of the inputs, so the joint is strictly positive."""
+    noise, latents, mechanisms = {}, {}, {}
+    for pair in g.latent_pairs():
+        latents[pair] = rng.dirichlet(np.ones(int(rng.integers(2, 4))))
+    for v in g.variables:
+        k = v.cardinality
+        free = int(rng.integers(1, 3))
+        noise[v.name] = rng.dirichlet(np.ones(free + k))
+        parents = [g.variable(p).cardinality for p in g.parents(v.name)]
+        incident = [latents[p].shape[0] for p in g.latent_pairs() if v.name in p]
+        table = rng.integers(0, k, size=(*parents, free + k, *incident))
+        forced = np.moveaxis(table, len(parents), 0)
+        forced[free:] = np.arange(k).reshape((k,) + (1,) * (forced.ndim - 1))
+        mechanisms[v.name] = table
+    return DiscreteScm(g, noise, latents, mechanisms)
+
+
+def single_dos(m: DiscreteScm):
+    yield {}
+    for v in m.graph.variables:
+        for value in range(v.cardinality):
+            yield {v.name: value}
 
 
 def point_mass_scm():
@@ -62,6 +124,48 @@ class TestExactJoint:
         mech = {n: np.array([0, 1]) for n in names}
         with pytest.raises(ScmError, match="budget"):
             DiscreteScm(g, noise, {}, mech)
+
+
+class TestOracleAgainstEnumeration:
+    def assert_agrees(self, m: DiscreteScm):
+        for do in single_dos(m):
+            got = exact_interventional(m, do)
+            assert got.variables == m.graph.variables
+            assert np.abs(got.probs - enumerate_reference(m, do).probs).max() <= 1e-12, do
+
+    def test_catalog(self):
+        for entry in catalog():
+            self.assert_agrees(entry.scm)
+
+    def test_random_admgs(self):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            g = random_admg(rng)
+            self.assert_agrees(noisy_copy_scm(g))
+            self.assert_agrees(random_mechanism_scm(g, rng))
+
+    def test_mixed_cardinalities_and_shared_latents(self):
+        g = admg(
+            [("A", 3), ("B", 2), ("C", 4), ("D", 2)],
+            [("A", "B"), ("B", "C"), ("A", "D")],
+            [("A", "C"), ("B", "C"), ("C", "D")],
+        )
+        self.assert_agrees(random_mechanism_scm(g, np.random.default_rng(3)))
+
+    def test_confounded_chains(self):
+        for n in (6, 10):
+            self.assert_agrees(noisy_copy_scm(confounded_chain(n)))
+
+    def test_multi_variable_do(self):
+        m = catalog_entry("double_napkin").scm
+        do = {"R": 1, "W2": 0, "X": 1}
+        assert np.abs(exact_interventional(m, do).probs - enumerate_reference(m, do).probs).max() <= 1e-12
+
+    def test_chain_past_the_old_exogenous_budget(self):
+        # 3^18 * 2 exogenous states, but a joint table of only 2^18 cells
+        m = noisy_copy_scm(confounded_chain(18))
+        table = exact_interventional(m, {"V0": 1})
+        assert table.total() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestExactInterventional:
@@ -178,6 +282,37 @@ class TestSerialization:
         for pair in m.graph.latent_pairs():
             assert np.allclose(again.latents[pair], m.latents[pair])
         assert tvd(exact_joint(again), exact_joint(m)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "line, match",
+        [
+            ("latent X", "fd.scm:3"),
+            ("noise X 0.4 zz", "fd.scm:3"),
+            ("mech X 0", "fd.scm:3"),
+            ("mech X 0 a", "fd.scm:3"),
+            ("graph", "fd.scm:3"),
+            ("graph missing.graph", "fd.scm:3"),
+            ("noise X nan nan", "bad noise distribution"),
+        ],
+    )
+    def test_malformed_line(self, tmp_path, line, match):
+        m = catalog_entry("frontdoor").scm
+        write_scm(m, tmp_path / "fd.scm", tmp_path / "fd.graph")
+        lines = (tmp_path / "fd.scm").read_text().splitlines()
+        lines.insert(2, line)
+        (tmp_path / "fd.scm").write_text("\n".join(lines) + "\n")
+        with pytest.raises(ScmError, match=match):
+            read_scm(tmp_path / "fd.scm")
+
+    @pytest.mark.parametrize("row, match", [("mech X -1 1 0", "fd.scm:9"), ("mech X 1 1 7", "out-of-range")])
+    def test_bad_mechanism_rows(self, tmp_path, row, match):
+        m = catalog_entry("frontdoor").scm
+        write_scm(m, tmp_path / "fd.scm", tmp_path / "fd.graph")
+        # a negative index would shadow another cell and pass the size check
+        text = (tmp_path / "fd.scm").read_text().replace("mech X 1 1 0\n", row + "\n")
+        (tmp_path / "fd.scm").write_text(text)
+        with pytest.raises(ScmError, match=match):
+            read_scm(tmp_path / "fd.scm")
 
     def test_missing_graph_declaration(self, tmp_path):
         (tmp_path / "bad.scm").write_text("noise X 0.5 0.5\n")
