@@ -16,7 +16,7 @@ import numpy as np
 from . import engine, identify, scm
 from .estimands import evaluate_estimand, format_estimand
 from .graphs import Admg, GraphError, parse_graph
-from .models import DataError, Dataset, read_dataset_csv, write_dataset_csv
+from .models import DataError, read_dataset_csv, write_dataset_csv
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -169,63 +169,24 @@ def cmd_sample(args) -> int:
     q = _load_query(args.query, g)
     source = _load_source(args, g)
     rng = np.random.default_rng(args.seed)
+    options = dict(proposal=args.proposal, dprime_mult=args.dprime_mult, rng=rng)
     if q.given:
-        return _sample_conditional(args, g, q, source, rng)
-    result = engine.build_network(
-        frozenset(q.targets), frozenset(q.do_map), g, source,
-        proposal=args.proposal, dprime_mult=args.dprime_mult, rng=rng,
-    )
-    if not result.identifiable:
-        _print_hedge(result.hedge, result.trace)
-        return EXIT_HEDGE
-    joint = engine.sample_interventional(result.network, q, args.n, rng, workers=args.workers)
-    samples = engine.project_targets(joint, q.targets)
+        try:
+            network = engine.build_conditional_sampler(q, g, source, n_train=max(args.n, 10_000), **options)
+        except identify.NotIdentifiable as fail:
+            _print_hedge(fail.hedge, [])
+            return EXIT_HEDGE
+    else:
+        result = engine.build_network(frozenset(q.targets), frozenset(q.do_map), g, source, **options)
+        if not result.identifiable:
+            _print_hedge(result.hedge, result.trace)
+            return EXIT_HEDGE
+        network = result.network
+    joint = engine.sample_interventional(network, q, args.n, rng, workers=args.workers)
+    samples = joint.restrict(q.targets)
     out = Path(args.out)
     write_dataset_csv(samples, out.with_suffix(".csv"), out.with_suffix(".sidecar.json"))
-    out.with_suffix(".manifest").write_text(engine.format_network(result.network))
-    print(f"wrote {samples.n} rows to {out.with_suffix('.csv')}")
-    return EXIT_OK
-
-
-def _conditional_chain(sampler) -> tuple:
-    return sampler.chain if isinstance(sampler, engine.ChainSampler) else (sampler,)
-
-
-def _draw_conditional(sampler, fixed: dict[str, int], n: int, rng) -> dict[str, np.ndarray]:
-    cols = {name: np.full(n, value, dtype=np.int64) for name, value in fixed.items()}
-    out = {}
-    for model in _conditional_chain(sampler):
-        col = model.sample_n(cols, n, rng)
-        cols[model.target.name] = col
-        out[model.target.name] = col
-    return out
-
-
-def _sample_conditional(args, g, q, source, rng) -> int:
-    # the fitted conditional is not an ancestral network (conditioning may run
-    # against the causal order), so it is sampled at the query's fixed values
-    try:
-        sampler = engine.build_conditional_sampler(
-            q, g, source, n_train=max(args.n, 10_000),
-            proposal=args.proposal, dprime_mult=args.dprime_mult, rng=rng,
-        )
-    except identify.NotIdentifiable as fail:
-        _print_hedge(fail.hedge, [])
-        return EXIT_HEDGE
-    drawn = _draw_conditional(sampler, {**q.do_map, **q.given_map}, args.n, rng)
-    variables = tuple(g.variable(t) for t in q.targets)
-    rows = np.column_stack([drawn[t] for t in q.targets])
-    samples = Dataset(variables, rows)
-    out = Path(args.out)
-    write_dataset_csv(samples, out.with_suffix(".csv"), out.with_suffix(".sidecar.json"))
-    lines = []
-    for model in _conditional_chain(sampler):
-        card = model.target.cardinality
-        table = model.conditional_table().reshape(-1, card)
-        payload = ";".join(",".join(f"{p:.12g}" for p in row) for row in table)
-        context = ",".join(model.context_names)
-        lines.append(f"conditional {model.target.name} card={card} context={context} table={payload}")
-    out.with_suffix(".manifest").write_text("\n".join(lines) + "\n")
+    out.with_suffix(".manifest").write_text(engine.format_network(network))
     print(f"wrote {samples.n} rows to {out.with_suffix('.csv')}")
     return EXIT_OK
 
@@ -259,7 +220,7 @@ def _unconditional_tvd(entry, query, source, args, rng) -> float:
     for do_vals in _configurations(g, query.do):
         spec = engine.QuerySpec(query.targets, tuple(do_vals.items()))
         drawn = engine.sample_interventional(build.network, spec, args.n, rng, workers=args.workers)
-        exact = scm.interventional_marginal(entry.scm, do_vals, query.targets)
+        exact = scm.exact_interventional(entry.scm, do_vals).marginal(query.targets)
         emp = scm.empirical_distribution(drawn, exact.names)
         worst = max(worst, scm.tvd(emp, exact))
     return worst
@@ -272,7 +233,7 @@ def _conditional_tvd(entry, query, source, joint, args, rng) -> float:
         tuple((n, 0) for n in query.do),
         tuple((n, 0) for n in query.given),
     )
-    sampler = engine.build_conditional_sampler(
+    network = engine.build_conditional_sampler(
         spec, g, source, n_train=args.n, proposal=args.proposal,
         dprime_mult=args.dprime_mult, rng=rng,
     )
@@ -283,12 +244,10 @@ def _conditional_tvd(entry, query, source, joint, args, rng) -> float:
     worst = 0.0
     for do_vals in _configurations(g, query.do):
         for given_vals in _configurations(g, query.given):
-            ctx = {**do_vals, **given_vals}
-            drawn = _draw_conditional(sampler, ctx, args.n, rng)
-            variables = tuple(g.variable(t) for t in query.targets)
-            rows = np.column_stack([drawn[t] for t in query.targets])
-            exact = table.fix({k: v for k, v in ctx.items() if k in table.names})
-            emp = scm.empirical_distribution(Dataset(variables, rows), exact.names)
+            probe = engine.QuerySpec(query.targets, tuple(do_vals.items()), tuple(given_vals.items()))
+            drawn = engine.sample_interventional(network, probe, args.n, rng, workers=args.workers)
+            exact = table.fix({k: v for k, v in {**do_vals, **given_vals}.items() if k in table.names})
+            emp = scm.empirical_distribution(drawn, exact.names)
             worst = max(worst, scm.tvd(emp, exact))
     return worst
 

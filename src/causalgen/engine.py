@@ -1,11 +1,13 @@
 """Compiles an interventional query into an executable network of conditional samplers.
 
-The compiler follows the same seven-step recursion as symbolic identification,
-but instead of algebra it fits conditional samplers: base cases fit one model
-per variable on the current data, the factorization step builds one network per
-confounded component and merges them, and the partial-intervention step redraws
-the working dataset under do(X_Z) before recursing. Ancestral evaluation of the
-finished network yields samples from the interventional distribution.
+The compiler is the second interpreter of the one ID recursion,
+`identify.run_id`; the symbolic estimand is the first. `BuildContext` reads
+each step as work on data instead of algebra: base cases fit one model per
+variable on the current data, the factorization step merges the networks built
+for the confounded components, and the partial-intervention step redraws the
+working dataset under do(X_Z) before the recursion goes on. Ancestral
+evaluation of the finished network yields samples from the interventional
+distribution.
 
 Two interchangeable data sources drive the fits: a finite dataset (CPT fits,
 the end-to-end pipeline) and an exact joint table (exact conditionals, used to
@@ -17,24 +19,23 @@ from __future__ import annotations
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .estimands import DistTable
 from .graphs import Admg, GraphError, Variable
-from .identify import Hedge, NotIdentifiable, TraceEntry, maximal_rule2_shift
+from .identify import Hedge, NotIdentifiable, TraceEntry, check_query, maximal_rule2_shift, run_id
 from .models import (
     ConditionalModel,
     CptModel,
     Dataset,
-    DataError,
     ExactConditionalModel,
     UniformModel,
+    draw_categorical,
     exact_conditional,
     fit_conditional,
-    uniform_model,
 )
 
 
@@ -66,17 +67,10 @@ class QuerySpec:
         return dict(self.given)
 
     def validate(self, g: Admg):
-        groups = [set(self.targets), {n for n, _ in self.do}, {n for n, _ in self.given}]
-        if not self.targets:
-            raise GraphError("query has no targets")
-        for a, b in itertools.combinations(groups, 2):
-            if a & b:
-                raise GraphError("query sets overlap")
+        check_query(self.targets, self.do_map, g, self.given_map)
         for name, value in self.do + self.given:
             if not 0 <= value < g.variable(name).cardinality:
                 raise GraphError(f"value {value} out of range for {name}")
-        for name in self.targets:
-            g.variable(name)
 
 
 def parse_query(text: str) -> QuerySpec:
@@ -132,11 +126,15 @@ class SamplingNetwork:
     """DAG of conditional samplers plus empty input placeholders.
 
     `global_order` is the root graph's topological order; every model's context
-    precedes its target in it, which is what keeps merged networks acyclic.
+    precedes its target in it, which is what keeps merged networks acyclic. A
+    conditional sampler's network orders its context (the do- and given-
+    variables) before its targets instead, since conditioning may run against
+    the causal order.
     `required_inputs` are the placeholders whose values the target distribution
-    actually depends on (the query's surviving do-variables); the remaining
-    placeholders are history or absorbed variables whose values are irrelevant
-    to the targets and may default to anything.
+    actually depends on (the query's surviving do-variables, or a conditional
+    sampler's whole context); the remaining placeholders are history or
+    absorbed variables whose values are irrelevant to the targets and may
+    default to anything.
     """
 
     variables: dict[str, Variable]
@@ -164,18 +162,24 @@ class SamplingNetwork:
 
     def validate(self):
         position = {n: i for i, n in enumerate(self.global_order)}
-        for name, model in self.nodes.items():
+        for name in self.nodes:
             if name not in self.variables or name not in position:
                 raise EngineError(f"node {name} missing variable or ordering info")
+        for name, model in self.nodes.items():
             if model is None:
                 continue
             if model.target.name != name:
                 raise EngineError(f"node {name} holds a model for {model.target.name}")
-            for c in model.context_names:
-                if c not in self.nodes:
-                    raise EngineError(f"node {name} depends on absent node {c}")
-                if position[c] >= position[name]:
-                    raise EngineError(f"edge {c} -> {name} violates the global order")
+            for v in (model.target, *model.context):
+                if v.name not in self.nodes:
+                    raise EngineError(f"node {name} depends on absent node {v.name}")
+                if v != self.variables[v.name]:
+                    raise EngineError(
+                        f"node {name}: the model's {v.name} has cardinality {v.cardinality}, "
+                        f"the network's {self.variables[v.name].cardinality}"
+                    )
+                if v.name != name and position[v.name] >= position[name]:
+                    raise EngineError(f"edge {v.name} -> {name} violates the global order")
 
 
 def merge_networks(parts: Sequence[SamplingNetwork]) -> SamplingNetwork:
@@ -199,11 +203,6 @@ def merge_networks(parts: Sequence[SamplingNetwork]) -> SamplingNetwork:
                     raise MergeConflict(f"two models produce {name}")
                 nodes[name] = model
     return SamplingNetwork(variables, nodes, order)
-
-
-def project_targets(d: Dataset, y: Iterable[str]) -> Dataset:
-    """Drop all non-target columns; row count is unchanged."""
-    return d.restrict(y)
 
 
 def ancestral_sample(
@@ -396,6 +395,12 @@ class ExactSource:
         return ExactSource(table, intervened)
 
 
+def _sample_joint(table: DistTable, n: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    idx = np.unravel_index(draw_categorical(table.probs.reshape(-1), n, rng), table.probs.shape)
+    # contiguous copies: the unravelled columns are strided views of one (n, ndim) block
+    return {v.name: idx[i].astype(np.int64) for i, v in enumerate(table.variables)}
+
+
 def _factor_over(
     axes: Sequence[str], shape: Sequence[int], names: Sequence[str], array: np.ndarray
 ) -> np.ndarray:
@@ -406,15 +411,6 @@ def _factor_over(
     for p, size in zip(sorted(positions), moved.shape):
         full[p] = size
     return moved.reshape(full)
-
-
-def _sample_joint(table: DistTable, n: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    flat = table.probs.reshape(-1)
-    cdf = np.cumsum(flat)
-    draws = np.searchsorted(cdf, rng.random(n) * cdf[-1], side="right")
-    draws = np.clip(draws, 0, flat.size - 1)
-    idx = np.unravel_index(draws, table.probs.shape)
-    return {v.name: idx[i].astype(np.int64) for i, v in enumerate(table.variables)}
 
 
 # -- the recursion ------------------------------------------------------------------
@@ -448,11 +444,39 @@ class RecursionState:
 
 @dataclass
 class BuildContext:
+    """Reads the ID recursion (`identify.run_id`) as building a sampling network
+    on `RecursionState`s, through `fit_conditional_models`, `merge_networks`
+    and `apply_partial_intervention`."""
+
     root_order: tuple[str, ...]
     proposal: str = "uniform"
     dprime_mult: float = 1.0
     rng: np.random.Generator = field(default_factory=lambda: np.random.default_rng(0))
     trace: list[TraceEntry] = field(default_factory=list)
+
+    def s1_leaf(self, state: RecursionState) -> SamplingNetwork:
+        # with nothing to intervene on, model every remaining variable
+        return fit_conditional_models(frozenset(state.g.names), frozenset(), state, self)
+
+    def s2_narrow(self, state: RecursionState, ancestors: frozenset[str]) -> RecursionState:
+        keep = ancestors | state.x_hat
+        return RecursionState(
+            state.y,
+            state.x & ancestors,
+            state.g.induced_subgraph(ancestors),
+            state.source.restrict(keep),
+            state.x_hat,
+            state.g_hat.induced_subgraph(keep),
+        )
+
+    def s4_combine(self, state: RecursionState, parts: list[SamplingNetwork]) -> SamplingNetwork:
+        return merge_networks(parts)
+
+    def s6_leaf(self, state: RecursionState, s: frozenset[str]) -> SamplingNetwork:
+        return fit_conditional_models(s, state.x, state, self)
+
+    def s7_intervene(self, state: RecursionState, s_prime: frozenset[str]) -> RecursionState:
+        return apply_partial_intervention(s_prime, state, self)
 
 
 @dataclass
@@ -476,13 +500,7 @@ def build_network(
     rng: np.random.Generator | None = None,
 ) -> BuildResult:
     """Compile P(y | do(x)) against the given data source into a sampling network."""
-    y, x = frozenset(y), frozenset(x)
-    for name in y | x:
-        g.variable(name)
-    if not y:
-        raise GraphError("query target set is empty")
-    if y & x:
-        raise GraphError("target and intervention sets overlap")
+    y, x, _ = check_query(y, x, g)
     if proposal not in ("uniform", "marginal"):
         raise EngineError(f"unknown proposal {proposal!r}")
     state = RecursionState(y, x, g, source, frozenset(), g)
@@ -493,68 +511,11 @@ def build_network(
         rng=rng if rng is not None else np.random.default_rng(0),
     )
     try:
-        network = compile_state(state, ctx)
+        network = run_id(state, ctx)
     except NotIdentifiable as fail:
         return BuildResult(None, fail.hedge, ctx.trace)
     network.required_inputs = x & frozenset(network.empty_nodes())
     return BuildResult(network, None, ctx.trace)
-
-
-def compile_state(state: RecursionState, ctx: BuildContext, depth: int = 0) -> SamplingNetwork:
-    """One recursion level; mirrors the symbolic identification steps one-for-one."""
-    y, x, g = state.y, state.x, state.g
-    v = set(g.names)
-    enter = lambda step: ctx.trace.append(TraceEntry(step, y, x, depth))
-
-    if not x:
-        enter("S1")
-        # with nothing to intervene on, model every remaining variable
-        return fit_conditional_models(frozenset(v), frozenset(), state, ctx)
-
-    ancestors = g.ancestors(y)
-    if v - ancestors:
-        enter("S2")
-        keep = ancestors | state.x_hat
-        narrowed = RecursionState(
-            y,
-            x & ancestors,
-            g.induced_subgraph(ancestors),
-            state.source.restrict(keep),
-            state.x_hat,
-            state.g_hat.induced_subgraph(keep),
-        )
-        return compile_state(narrowed, ctx, depth + 1)
-
-    w = (v - x) - g.remove_incoming(x).ancestors(y)
-    if w:
-        enter("S3")
-        return compile_state(replace(state, x=x | w), ctx, depth + 1)
-
-    components = g.induced_subgraph(v - x).c_components()
-    if len(components) > 1:
-        enter("S4")
-        parts = [
-            compile_state(replace(state, y=frozenset(s), x=frozenset(v - set(s))), ctx, depth + 1)
-            for s in components
-        ]
-        return merge_networks(parts)
-
-    (s,) = components
-    s_set = frozenset(s)
-    graph_components = g.c_components()
-
-    if len(graph_components) == 1:
-        enter("S5")
-        raise NotIdentifiable(Hedge(frozenset(v), s_set))
-
-    if any(set(c) == s_set for c in graph_components):
-        enter("S6")
-        return fit_conditional_models(s_set, x, state, ctx)
-
-    s_prime = frozenset(next(set(c) for c in graph_components if s_set < set(c)))
-    enter("S7")
-    updated = apply_partial_intervention(s_prime, state, ctx)
-    return compile_state(updated, ctx, depth + 1)
 
 
 def fit_conditional_models(
@@ -631,19 +592,19 @@ def sample_interventional(
     rng: np.random.Generator,
     workers: int = 1,
 ) -> Dataset:
-    """Fix the do-values, give leftover placeholders uniform fallback samplers,
-    and ancestrally sample the full joint.
+    """Fix the do- and given-values, give leftover placeholders uniform fallback
+    samplers, and ancestrally sample the full joint.
 
     Do-variables the compiler pruned as irrelevant to the targets are not
     network nodes; their values cannot influence the draw and are ignored.
     Required inputs must all be fixed: defaulting one would draw from a mixture
     over its values instead of an intervention."""
-    fixed = {name: value for name, value in query.do_map.items() if name in h.nodes}
+    fixed = {name: value for name, value in query.do + query.given if name in h.nodes}
     unset = h.required_inputs - set(fixed)
     if unset:
         raise EngineError(f"query must fix the network inputs {sorted(unset)}")
     fallbacks = {
-        name: uniform_model(h.variables[name]) for name in h.empty_nodes() if name not in fixed
+        name: UniformModel(h.variables[name]) for name in h.empty_nodes() if name not in fixed
     }
     return ancestral_sample(h, fixed, n, rng, fallbacks=fallbacks, workers=workers)
 
@@ -659,10 +620,12 @@ def build_conditional_sampler(
     proposal: str = "uniform",
     dprime_mult: float = 1.0,
     rng: np.random.Generator | None = None,
-) -> ConditionalModel:
-    """Fit a sampler for P(y | do(x), z): shift the maximal rule-2 subset of z
+) -> SamplingNetwork:
+    """Network sampling P(y | do(x), z): shift the maximal rule-2 subset of z
     into the do-set, compile and sample the joint network over a full grid of
-    intervention values, then fit the conditional of y on the rest."""
+    intervention values, then fit each target on the do- and given-variables
+    and the targets before it. `sample_interventional` draws from it with the
+    query's do- and given-values fixed."""
     if not query.given:
         raise GraphError("conditional sampler requires a non-empty conditioning set")
     query.validate(g)
@@ -686,43 +649,12 @@ def build_conditional_sampler(
         probe = QuerySpec(tuple(n for n in keep if n not in fixed), tuple(fixed.items()))
         joint = sample_interventional(network, probe, shard, rng)
         shards.append(joint.restrict(keep).rows)
-    variables = tuple(g.variable(n) for n in keep)
-    data = Dataset(variables, np.vstack(shards), frozenset(x_names))
+    variables = {n: g.variable(n) for n in keep}
+    data = Dataset(tuple(variables.values()), np.vstack(shards), frozenset(x_names))
 
     context = [n for n in keep if n not in y]
     targets = [n for n in keep if n in y]
-    models = []
+    nodes: dict[str, ConditionalModel | None] = dict.fromkeys(context)
     for i, t in enumerate(targets):
-        models.append(fit_conditional(data, t, context + targets[:i]))
-    if len(models) == 1:
-        return models[0]
-    return ChainSampler(tuple(models))
-
-
-@dataclass(frozen=True)
-class ChainSampler(ConditionalModel):
-    """Joint sampler for several targets, factored as a chain of fitted CPTs."""
-
-    chain: tuple[CptModel, ...]
-
-    @property
-    def target(self) -> Variable:  # type: ignore[override]
-        raise DataError("chain sampler has multiple targets")
-
-    @property
-    def context(self) -> tuple[Variable, ...]:  # type: ignore[override]
-        return self.chain[0].context
-
-    def conditional_table(self) -> np.ndarray:
-        raise DataError("chain sampler has no single table")
-
-    def sample_columns(
-        self, ctx_cols: Mapping[str, np.ndarray], n: int, rng: np.random.Generator
-    ) -> dict[str, np.ndarray]:
-        cols = dict(ctx_cols)
-        out = {}
-        for model in self.chain:
-            col = model.sample_n(cols, n, rng)
-            cols[model.target.name] = col
-            out[model.target.name] = col
-        return out
+        nodes[t] = fit_conditional(data, t, context + targets[:i])
+    return SamplingNetwork(variables, nodes, tuple(context + targets), frozenset(context))

@@ -5,13 +5,16 @@ observational distribution, or returns the hedge witnessing non-identifiability.
 `identify_conditional_effect` handles P(y | do(x), z) by first shifting the
 maximal rule-2 subset of z into the intervention set and then taking a quotient.
 
-Every recursion level enters exactly one of seven steps; the trace of entered
-steps doubles as the reference the sampling-network compiler must mirror.
+The seven-step recursion is written once, in `run_id`: it makes every step
+test, records the trace and raises the hedge. What a step builds comes from an
+interpreter: `Symbolic` here reads the recursion as estimand algebra, and
+`engine.BuildContext` reads it as fitting and merging a sampling network. Both
+readings therefore enter the same steps on the same query by construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 from .estimands import (
@@ -76,35 +79,38 @@ class IdResult:
 
 def identify_effect(y: Iterable[str], x: Iterable[str], g: Admg) -> IdResult:
     """Identify P(y | do(x)) in g. Returns the estimand or the hedge, plus the trace."""
-    y, x = _check_query(y, x, g)
-    trace: list[TraceEntry] = []
-    root_order = g.topological_order()
-    try:
-        e = _identify(y, x, OBSERVATIONAL, g, root_order, trace, 0)
-    except NotIdentifiable as fail:
-        return IdResult(None, fail.hedge, trace)
-    return IdResult(_close_over_free(e, y | x, g), None, trace)
+    y, x, _ = check_query(y, x, g)
+    return _run_symbolic(y, x, g)
 
 
 def identify_conditional_effect(
     y: Iterable[str], x: Iterable[str], z: Iterable[str], g: Admg
 ) -> IdResult:
     """Identify P(y | do(x), z) in g as a quotient of unconditional estimands."""
-    y, x = _check_query(y, x, g)
-    z = frozenset(z)
-    for n in z:
+    y, x, z = check_query(y, x, g, z)
+    x, z = maximal_rule2_shift(y, x, z, g)
+    result = _run_symbolic(y | z, x, g)
+    if result.identifiable:
+        e = result.estimand
+        result.estimand = Quotient(e, SumOver(tuple(g.sorted_names(y)), e))
+    return result
+
+
+def check_query(
+    y: Iterable[str], x: Iterable[str], g: Admg, z: Iterable[str] = ()
+) -> tuple[frozenset[str], frozenset[str], frozenset[str]]:
+    """Targets y, intervention x and conditioning z as sets: every name must be a
+    variable of g, y must be non-empty, and the three sets must be disjoint."""
+    y, x, z = frozenset(y), frozenset(x), frozenset(z)
+    for n in y | x | z:
         g.variable(n)
+    if not y:
+        raise GraphError("query target set is empty")
+    if y & x:
+        raise GraphError("target and intervention sets overlap")
     if z & (y | x):
         raise GraphError("conditioning set overlaps the query sets")
-    x, z = maximal_rule2_shift(y, x, z, g)
-    trace: list[TraceEntry] = []
-    root_order = g.topological_order()
-    try:
-        e = _identify(y | z, x, OBSERVATIONAL, g, root_order, trace, 0)
-    except NotIdentifiable as fail:
-        return IdResult(None, fail.hedge, trace)
-    e = _close_over_free(e, y | z | x, g)
-    return IdResult(Quotient(e, SumOver(tuple(g.sorted_names(y)), e)), None, trace)
+    return y, x, z
 
 
 def maximal_rule2_shift(
@@ -131,56 +137,48 @@ def maximal_rule2_shift(
 # -- the recursion ---------------------------------------------------------------
 
 
-def _check_query(y: Iterable[str], x: Iterable[str], g: Admg) -> tuple[frozenset[str], frozenset[str]]:
-    y, x = frozenset(y), frozenset(x)
-    for n in y | x:
-        g.variable(n)
-    if not y:
-        raise GraphError("query target set is empty")
-    if y & x:
-        raise GraphError("target and intervention sets overlap")
-    return y, x
+def run_id(state, interp, depth: int = 0):
+    """One level of the ID recursion (Shpitser & Pearl 2006).
 
-
-def _identify(
-    y: frozenset[str],
-    x: frozenset[str],
-    ref: DistRef,
-    g: Admg,
-    root_order: list[str],
-    trace: list[TraceEntry],
-    depth: int,
-) -> Estimand:
+    `state` is a frozen dataclass with fields `y`, `x` and `g` plus the
+    interpreter's own payload. The step tests, the trace (appended to
+    `interp.trace`) and the step-5 hedge (raised as NotIdentifiable) live here;
+    `interp` builds what the steps return: `s1_leaf(state)` and
+    `s6_leaf(state, s)` the base cases, `s2_narrow(state, ancestors)` and
+    `s7_intervene(state, s_prime)` the state to recurse on, and
+    `s4_combine(state, parts)` the join of the c-components' results.
+    """
+    y, x, g = state.y, state.x, state.g
     v = set(g.names)
-    enter = lambda step: trace.append(TraceEntry(step, y, x, depth))
+    enter = lambda step: interp.trace.append(TraceEntry(step, y, x, depth))
 
     # step 1: nothing left to intervene on
     if not x:
         enter("S1")
-        return CondTerm(tuple(g.sorted_names(y)), (), ref)
+        return interp.s1_leaf(state)
 
     # step 2: restrict to ancestors of y
     ancestors = g.ancestors(y)
     if v - ancestors:
         enter("S2")
-        return _identify(y, x & ancestors, ref, g.induced_subgraph(ancestors), root_order, trace, depth + 1)
+        return run_id(interp.s2_narrow(state, frozenset(ancestors)), interp, depth + 1)
 
     # step 3: absorb variables made irrelevant by the intervention
     w = (v - x) - g.remove_incoming(x).ancestors(y)
     if w:
         enter("S3")
-        return _identify(y, x | w, ref, g, root_order, trace, depth + 1)
+        return run_id(replace(state, x=x | w), interp, depth + 1)
 
     components = g.induced_subgraph(v - x).c_components()
 
     # step 4: factorize over the c-components of g minus x
     if len(components) > 1:
         enter("S4")
-        factors = [
-            _identify(frozenset(s), frozenset(v - set(s)), ref, g, root_order, trace, depth + 1)
+        parts = [
+            run_id(replace(state, y=frozenset(s), x=frozenset(v - set(s))), interp, depth + 1)
             for s in components
         ]
-        return sum_over(g.sorted_names(v - y - x), product_of(factors))
+        return interp.s4_combine(state, parts)
 
     (s,) = components
     s_set = frozenset(s)
@@ -192,22 +190,69 @@ def _identify(
         raise NotIdentifiable(Hedge(frozenset(v), s_set))
 
     # step 6: s is itself a c-component; interventions reduce to conditioning
-    order = [n for n in root_order if n in v]
     if any(set(c) == s_set for c in graph_components):
         enter("S6")
-        factors = [
-            CondTerm((vi,), tuple(order[: order.index(vi)]), ref) for vi in order if vi in s_set
-        ]
-        return sum_over(g.sorted_names(s_set - y), product_of(factors))
+        return interp.s6_leaf(state, s_set)
 
     # step 7: s sits strictly inside a larger c-component s'
-    s_prime = next(set(c) for c in graph_components if s_set < set(c))
+    s_prime = frozenset(next(set(c) for c in graph_components if s_set < set(c)))
     enter("S7")
-    factors = [
-        CondTerm((vi,), tuple(order[: order.index(vi)]), ref) for vi in order if vi in s_prime
-    ]
-    nested = Nested(product_of(factors), tuple(n for n in order if n in s_prime))
-    return _identify(y, x & s_prime, nested, g.induced_subgraph(s_prime), root_order, trace, depth + 1)
+    return run_id(interp.s7_intervene(state, s_prime), interp, depth + 1)
+
+
+# -- the symbolic interpreter -------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SymbolicState:
+    """One level of symbolic identification: the query on g against the
+    distribution `ref` (the observational law, or a nested step-7 law)."""
+
+    y: frozenset[str]
+    x: frozenset[str]
+    g: Admg
+    ref: DistRef
+
+
+@dataclass
+class Symbolic:
+    """Reads the recursion as estimand algebra."""
+
+    root_order: tuple[str, ...]
+    trace: list[TraceEntry] = field(default_factory=list)
+
+    def s1_leaf(self, state: SymbolicState) -> Estimand:
+        return CondTerm(tuple(state.g.sorted_names(state.y)), (), state.ref)
+
+    def s2_narrow(self, state: SymbolicState, ancestors: frozenset[str]) -> SymbolicState:
+        return replace(state, x=state.x & ancestors, g=state.g.induced_subgraph(ancestors))
+
+    def s4_combine(self, state: SymbolicState, parts: list[Estimand]) -> Estimand:
+        return sum_over(state.g.sorted_names(set(state.g.names) - state.y - state.x), product_of(parts))
+
+    def s6_leaf(self, state: SymbolicState, s: frozenset[str]) -> Estimand:
+        return sum_over(state.g.sorted_names(s - state.y), product_of(self._chain(state, s)))
+
+    def s7_intervene(self, state: SymbolicState, s_prime: frozenset[str]) -> SymbolicState:
+        order = [n for n in self.root_order if n in s_prime]
+        nested = Nested(product_of(self._chain(state, s_prime)), tuple(order))
+        return SymbolicState(state.y, state.x & s_prime, state.g.induced_subgraph(s_prime), nested)
+
+    def _chain(self, state: SymbolicState, members: frozenset[str]) -> list[Estimand]:
+        """P(v_i | v^(i-1)) for each member v_i, preceding variables in topological order."""
+        names = set(state.g.names)
+        order = [n for n in self.root_order if n in names]
+        return [CondTerm((vi,), tuple(order[:i]), state.ref) for i, vi in enumerate(order) if vi in members]
+
+
+def _run_symbolic(y: frozenset[str], x: frozenset[str], g: Admg) -> IdResult:
+    """P(y | do(x)) as an estimand closed over its free variables, or the hedge."""
+    interp = Symbolic(tuple(g.topological_order()))
+    try:
+        e = run_id(SymbolicState(y, x, g, OBSERVATIONAL), interp)
+    except NotIdentifiable as fail:
+        return IdResult(None, fail.hedge, interp.trace)
+    return IdResult(_close_over_free(e, y | x, g), None, interp.trace)
 
 
 def _close_over_free(e: Estimand, query_vars: frozenset[str], g: Admg) -> Estimand:

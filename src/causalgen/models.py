@@ -10,6 +10,7 @@ conditionals extracted from a known joint, and context-free uniform samplers.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -92,14 +93,23 @@ def write_dataset_csv(d: Dataset, path: str | Path, sidecar: str | Path | None =
 
 def read_dataset_csv(path: str | Path, sidecar: str | Path | None = None) -> Dataset:
     path = Path(path)
-    with path.open() as fh:
+    with path.open(errors="replace") as fh:  # undecodable bytes fail the ASCII check
         header = fh.readline().strip()
         if not header:
             raise DataError(f"{path}: empty csv")
         names = header.split(",")
-        rows = np.loadtxt(fh, dtype=np.int64, delimiter=",", ndmin=2)
+        if not _ascii_rest(fh):
+            raise DataError(f"{path}: the rows hold non-ASCII characters")
+        try:
+            with warnings.catch_warnings():  # a csv without rows is handled below
+                warnings.simplefilter("ignore", UserWarning)
+                rows = np.loadtxt(fh, dtype=np.int64, delimiter=",", ndmin=2)
+        except ValueError as exc:  # a non-integer cell or a ragged row
+            raise DataError(f"{path}: {exc}") from None
     if rows.size == 0:
         rows = rows.reshape(0, len(names))
+    if rows.shape[1] != len(names):
+        raise DataError(f"{path}: rows have {rows.shape[1]} fields, the header has {len(names)}")
     cards: dict[str, int] = {}
     intervened: frozenset[str] = frozenset()
     if sidecar is not None and Path(sidecar).exists():
@@ -111,6 +121,16 @@ def read_dataset_csv(path: str | Path, sidecar: str | Path | None = None) -> Dat
         for i, n in enumerate(names)
     )
     return Dataset(variables, rows, intervened)
+
+
+def _ascii_rest(fh) -> bool:
+    """Whether the rest of the text file is ASCII; leaves the position unchanged.
+    numpy's integer parser reads some other characters as numbers (U+20000 as
+    131024), or crashes on them."""
+    start = fh.tell()
+    ascii_only = all(chunk.isascii() for chunk in iter(lambda: fh.read(1 << 20), ""))
+    fh.seek(start)
+    return ascii_only
 
 
 # -- conditional models ---------------------------------------------------------
@@ -155,6 +175,15 @@ class ConditionalModel:
         u = rng.random(n)
         draws = (u[:, None] > cdf[idx]).sum(axis=1)
         return np.clip(draws, 0, self.target.cardinality - 1).astype(np.int64)
+
+
+def draw_categorical(probs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n independent draws of an index into the 1-d distribution `probs`, by
+    inverse CDF. (`ConditionalModel.sample_n` instead draws each row from the
+    row of its own context.)"""
+    cdf = np.cumsum(probs)
+    out = np.searchsorted(cdf, rng.random(n) * cdf[-1], side="right")
+    return np.clip(out, 0, probs.shape[0] - 1).astype(np.int64)
 
 
 def _check_table(model: CptModel | ExactConditionalModel) -> None:
@@ -210,10 +239,6 @@ class UniformModel(ConditionalModel):
     def conditional_table(self) -> np.ndarray:
         k = self.target.cardinality
         return np.full((k,), 1.0 / k)
-
-
-def uniform_model(v: Variable) -> UniformModel:
-    return UniformModel(v)
 
 
 def fit_conditional(d: Dataset, target: str, context: Sequence[str]) -> CptModel:

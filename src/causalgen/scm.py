@@ -24,7 +24,7 @@ import numpy as np
 
 from .estimands import DistTable
 from .graphs import Admg, Variable, format_graph, parse_graph
-from .models import DataError, Dataset
+from .models import DataError, Dataset, draw_categorical
 
 ENUMERATION_BUDGET = 10_000_000
 
@@ -86,8 +86,8 @@ def sample_observational(m: DiscreteScm, n: int, rng: np.random.Generator) -> Da
     if n <= 0:
         raise ScmError("sample count must be positive")
     g = m.graph
-    noise = {name: _draw(m.noise[name], n, rng) for name in g.names}
-    latents = {pair: _draw(m.latents[pair], n, rng) for pair in g.latent_pairs()}
+    noise = {name: draw_categorical(m.noise[name], n, rng) for name in g.names}
+    latents = {pair: draw_categorical(m.latents[pair], n, rng) for pair in g.latent_pairs()}
     values: dict[str, np.ndarray] = {}
     for name in g.topological_order():
         index = [values[p] for p in g.parents(name)] + [noise[name]]
@@ -95,12 +95,6 @@ def sample_observational(m: DiscreteScm, n: int, rng: np.random.Generator) -> Da
         values[name] = m.mechanisms[name][tuple(index)]
     rows = np.column_stack([values[name] for name in g.names])
     return Dataset(g.variables, rows)
-
-
-def _draw(probs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    cdf = np.cumsum(probs)
-    out = np.searchsorted(cdf, rng.random(n) * cdf[-1], side="right")
-    return np.clip(out, 0, probs.shape[0] - 1).astype(np.int64)
 
 
 def _kernel(m: DiscreteScm, name: str) -> np.ndarray:
@@ -354,6 +348,7 @@ def read_scm(mech_path: str | Path) -> DiscreteScm:
     noise: dict[str, np.ndarray] = {}
     latents: dict[tuple[str, str], np.ndarray] = {}
     raw_mech: dict[str, list[tuple[tuple[int, ...], int, int]]] = {}
+    named: list[tuple[str, int]] = []  # (variable, line) for each name a declaration refers to
     for lineno, rawline in enumerate(mech_path.read_text().splitlines(), start=1):
         line = rawline.split("#", 1)[0].strip()
         if not line:
@@ -365,6 +360,8 @@ def read_scm(mech_path: str | Path) -> DiscreteScm:
             raise ScmError(f"{where}: unknown declaration {kind!r}")
         if len(fields) < _MIN_FIELDS[kind]:
             raise ScmError(f"{where}: {kind} needs at least {_MIN_FIELDS[kind] - 1} fields")
+        if kind != "graph":
+            named += [(name, lineno) for name in fields[1 : 3 if kind == "latent" else 2]]
         try:
             if kind == "graph":
                 graph = parse_graph((mech_path.parent / fields[1]).read_text())
@@ -379,6 +376,10 @@ def read_scm(mech_path: str | Path) -> DiscreteScm:
             raise ScmError(f"{where}: {exc}") from None
     if graph is None:
         raise ScmError(f"{mech_path}: missing graph declaration")
+    known = set(graph.names)
+    for name, lineno in named:
+        if name not in known:
+            raise ScmError(f"{mech_path}:{lineno}: {name!r} is not a variable of the graph")
     mechanisms: dict[str, np.ndarray] = {}
     for name in graph.names:
         rows = raw_mech.get(name, [])
@@ -400,8 +401,3 @@ def read_scm(mech_path: str | Path) -> DiscreteScm:
         mechanisms[name] = table
     canonical = {tuple(sorted(p, key=graph.index)): probs for p, probs in latents.items()}
     return DiscreteScm(graph, noise, canonical, mechanisms)
-
-
-def interventional_marginal(m: DiscreteScm, do: Mapping[str, int], targets: Iterable[str]) -> DistTable:
-    """Convenience oracle: exact P(targets | do(...))."""
-    return exact_interventional(m, do).marginal(targets)

@@ -32,7 +32,7 @@ from causalgen.scm import (
     catalog_entry,
     empirical_distribution,
     exact_joint,
-    interventional_marginal,
+    exact_interventional,
     noisy_copy_scm,
     sample_observational,
     sampling_tolerance,
@@ -74,7 +74,7 @@ def test_c1_estimand_soundness_exact():
         result = identify_effect(q.targets, q.do, g)
         table = evaluate_estimand(result.estimand, joint)
         for do in do_configurations(g, q.do):
-            truth = interventional_marginal(entry.scm, do, q.targets)
+            truth = exact_interventional(entry.scm, do).marginal(q.targets)
             got = table.fix({k: v for k, v in do.items() if k in table.names})
             ordered = np.transpose(got.probs, [got.names.index(n) for n in truth.names])
             worst = max(worst, float(np.abs(ordered - truth.probs).max()))
@@ -100,7 +100,7 @@ def test_c2_sampling_soundness_exact_conditionals():
         for do in do_configurations(g, q.do):
             spec = QuerySpec(q.targets, tuple(do.items()))
             drawn = sample_interventional(built.network, spec, N_SAMPLES, rng)
-            truth = interventional_marginal(entry.scm, do, q.targets)
+            truth = exact_interventional(entry.scm, do).marginal(q.targets)
             dist = tvd(empirical_distribution(drawn, truth.names), truth)
             worst_margin = min(worst_margin, bound - dist)
             if dist > bound:
@@ -131,7 +131,7 @@ def test_c3_end_to_end_fitted_pipeline():
         for do in do_configurations(g, q.do):
             spec = QuerySpec(q.targets, tuple(do.items()))
             drawn = sample_interventional(built.network, spec, N_SAMPLES, rng)
-            truth = interventional_marginal(entry.scm, do, q.targets)
+            truth = exact_interventional(entry.scm, do).marginal(q.targets)
             dist = tvd(empirical_distribution(drawn, truth.names), truth)
             worst = max(worst, dist)
             if dist > 0.03:
@@ -210,7 +210,7 @@ def test_c6_step7_dataset_law():
     for value in (0, 1):
         rows = dprime.rows[dprime.column("W2") == value]
         sub = Dataset(dprime.variables, rows, dprime.intervened)
-        truth = interventional_marginal(entry.scm, {"W2": value}, ["W1", "X", "Y"])
+        truth = exact_interventional(entry.scm, {"W2": value}).marginal(["W1", "X", "Y"])
         worst_cond = max(worst_cond, tvd(empirical_distribution(sub, truth.names), truth))
     ok = dprime.n == N_OBS and marginal_dist <= 0.02 and worst_cond <= 0.03
     report(
@@ -235,9 +235,8 @@ def test_c7_conditional_queries():
     rng = np.random.default_rng(72)
     for v in range(2):
         for a in range(2):
-            cols = {"V": np.full(N_SAMPLES, v, dtype=np.int64), "A": np.full(N_SAMPLES, a, dtype=np.int64)}
-            draws = sampler.sample_n(cols, N_SAMPLES, rng)
-            emp = empirical_distribution(Dataset((g.variable("I"),), draws.reshape(-1, 1)), ["I"])
+            draws = sample_interventional(sampler, QuerySpec(("I",), (("V", v),), (("A", a),)), N_SAMPLES, rng)
+            emp = empirical_distribution(draws, ["I"])
             worst = max(worst, tvd(emp, table.fix({"V": v, "A": a})))
 
     # chain P(C | do(A), B)
@@ -252,9 +251,8 @@ def test_c7_conditional_queries():
     ctable = evaluate_estimand(identify_conditional_effect({"C"}, {"A"}, {"B"}, cg).estimand, cjoint)
     for a in range(2):
         for b in range(2):
-            cols = {"A": np.full(N_SAMPLES, a, dtype=np.int64), "B": np.full(N_SAMPLES, b, dtype=np.int64)}
-            draws = csampler.sample_n(cols, N_SAMPLES, rng)
-            emp = empirical_distribution(Dataset((cg.variable("C"),), draws.reshape(-1, 1)), ["C"])
+            draws = sample_interventional(csampler, QuerySpec(("C",), (("A", a),), (("B", b),)), N_SAMPLES, rng)
+            emp = empirical_distribution(draws, ["C"])
             worst = max(worst, tvd(emp, ctable.fix({"A": a, "B": b})))
     report("C7 conditional queries", worst <= 0.03, f"worst tvd {worst:.4f}")
 

@@ -148,7 +148,9 @@ class TestSample:
         assert code == 0
         samples = read_dataset_csv(out.with_suffix(".csv"), out.with_suffix(".sidecar.json"))
         assert samples.names == ("I",) and samples.n == 2000
-        assert "conditional I" in out.with_suffix(".manifest").read_text()
+        manifest = out.with_suffix(".manifest").read_text()
+        assert "node A kind=placeholder card=2 required" in manifest
+        assert "node I kind=cpt card=2 context=A,V " in manifest
 
     def test_hedge_exits_2(self, tmp_path, capsys):
         from causalgen.scm import catalog_entry as entry
@@ -215,6 +217,16 @@ class TestIngressErrors:
                                     "--query", str(frontdoor_files / "query.txt"),
                                     "--data", str(frontdoor_files / "missing.csv"),
                                     "--out", str(frontdoor_files / "o")], "missing.csv")
+
+    # a non-integer cell, a short row, a character numpy would read as 131024
+    @pytest.mark.parametrize("row, fragment", [("0,1,a", "bad.csv"), ("0,1", "bad.csv"),
+                                               ("0,1,\U00020000", "non-ASCII")])
+    def test_sample_malformed_csv(self, frontdoor_files, capsys, row, fragment):
+        (frontdoor_files / "bad.csv").write_text("X,S,R\n0,0,0\n" + row + "\n", encoding="utf-8")
+        assert_input_error(capsys, ["sample", "--graph", str(frontdoor_files / "frontdoor.graph"),
+                                    "--query", str(frontdoor_files / "query.txt"),
+                                    "--data", str(frontdoor_files / "bad.csv"),
+                                    "--out", str(frontdoor_files / "o")], fragment)
 
     def test_sample_data_cardinality_mismatch(self, tmp_path, capsys):
         # S has 3 states in the graph, but the csv (no sidecar) only shows 0 and 1

@@ -21,17 +21,16 @@ from causalgen.engine import (
     merge_networks,
     parse_query,
     format_query,
-    project_targets,
     sample_interventional,
 )
 from causalgen.estimands import DistTable
 from causalgen.graphs import GraphError, Variable
 from causalgen.identify import identify_effect
-from causalgen.models import Dataset
+from causalgen.models import CptModel, Dataset
 from causalgen.scm import (
     empirical_distribution,
     exact_joint,
-    interventional_marginal,
+    exact_interventional,
     noisy_copy_scm,
     sample_observational,
     tvd,
@@ -105,6 +104,15 @@ class TestFitConditionalModels:
         assert contexts(h)["A"] == ()
 
 
+class TestSamplingNetworkValidate:
+    @pytest.mark.parametrize("a_card, b_card", [(3, 3), (2, 3), (3, 2)])
+    def test_rejects_model_cardinality_mismatch(self, a_card, b_card):
+        g = admg("A B", [("A", "B")])
+        model = CptModel(Variable("B", b_card), (Variable("A", a_card),), np.full((a_card, b_card), 1 / b_card))
+        with pytest.raises(EngineError, match="cardinality"):
+            SamplingNetwork(dict(zip(g.names, g.variables)), {"A": None, "B": model}, tuple(g.names))
+
+
 class TestMergeNetworks:
     def test_zigzag_parts_unify(self):
         g = zigzag_graph()
@@ -175,7 +183,7 @@ class TestPartialIntervention:
         for value in (0, 1):
             rows = d.rows[d.column("W2") == value]
             sub = Dataset(d.variables, rows, d.intervened)
-            truth = interventional_marginal(m, {"W2": value}, ["W1", "X", "Y"])
+            truth = exact_interventional(m, {"W2": value}).marginal(["W1", "X", "Y"])
             assert tvd(empirical_distribution(sub, truth.names), truth) < 0.03
 
     def test_exact_regeneration_matches_sampled_law(self):
@@ -231,7 +239,7 @@ class TestAncestralSampling:
         res = build_network({"R"}, {"X"}, g, ExactSource(exact_joint(m)))
         d = sample_interventional(res.network, QuerySpec(("R",), (("X", 1),)), 200_000, np.random.default_rng(4))
         emp = empirical_distribution(d, ["R"])
-        assert tvd(emp, interventional_marginal(m, {"X": 1}, ["R"])) < 0.01
+        assert tvd(emp, exact_interventional(m, {"X": 1}).marginal(["R"])) < 0.01
 
     def test_unassigned_placeholder_rejected(self):
         g = frontdoor_graph()
@@ -256,14 +264,14 @@ class TestAncestralSampling:
 class TestProjectTargets:
     def test_identity_and_idempotence(self):
         d = Dataset((Variable("A", 2), Variable("B", 2)), np.array([[0, 1], [1, 0]]))
-        assert np.array_equal(project_targets(d, ["A", "B"]).rows, d.rows)
-        once = project_targets(d, ["B"])
-        twice = project_targets(once, ["B"])
+        assert np.array_equal(d.restrict(["A", "B"]).rows, d.rows)
+        once = d.restrict(["B"])
+        twice = once.restrict(["B"])
         assert np.array_equal(once.rows, twice.rows)
 
     def test_marginal_frequencies_preserved(self):
         d = Dataset((Variable("A", 2), Variable("B", 2)), np.array([[0, 1], [1, 1], [1, 0]]))
-        projected = project_targets(d, ["B"])
+        projected = d.restrict(["B"])
         assert projected.n == 3
         assert np.array_equal(projected.column("B"), d.column("B"))
 
@@ -323,7 +331,7 @@ class TestBuildNetwork:
             srng = np.random.default_rng(1000 + trial)
             for value in (0, 1):
                 do = {name: value for name in sorted(x)}
-                truth = interventional_marginal(m, do, y)
+                truth = exact_interventional(m, do).marginal(y)
                 drawn = sample_interventional(
                     built.network, QuerySpec(tuple(y), tuple(do.items())), 50_000, srng
                 )
@@ -356,7 +364,7 @@ class TestBuildNetwork:
         rng = np.random.default_rng(2)
         for x in (0, 1):
             drawn = sample_interventional(built.network, QuerySpec(("Y",), (("X", x),)), 100_000, rng)
-            truth = interventional_marginal(m, {"X": x}, ["Y"])
+            truth = exact_interventional(m, {"X": x}).marginal(["Y"])
             assert tvd(empirical_distribution(drawn, truth.names), truth) < 0.02
 
     def test_mixed_cardinalities_end_to_end(self):
@@ -374,7 +382,7 @@ class TestBuildNetwork:
         built = build_network({"R"}, {"X"}, g, ExactSource(joint), rng=np.random.default_rng(3))
         rng = np.random.default_rng(4)
         for x in range(3):
-            truth = interventional_marginal(m, {"X": x}, ["R"])
+            truth = exact_interventional(m, {"X": x}).marginal(["R"])
             assert np.abs(table.fix({"X": x}).probs - truth.probs).max() < 1e-9
             drawn = sample_interventional(built.network, QuerySpec(("R",), (("X", x),)), 100_000, rng)
             assert tvd(empirical_distribution(drawn, truth.names), truth) < 0.02
@@ -401,7 +409,7 @@ class TestBuildNetwork:
         worst = 0.0
         for combo in itertools.product((0, 1), repeat=3):
             do = dict(zip(sorted(x), combo))
-            truth = interventional_marginal(m, do, y)
+            truth = exact_interventional(m, do).marginal(y)
             drawn = sample_interventional(
                 built.network, QuerySpec(tuple(y), tuple(do.items())), 100_000, rng
             )
@@ -464,17 +472,16 @@ class TestConditionalSampler:
             QuerySpec(("C",), (("A", 0),), (("B", 0),)), g, ExactSource(joint),
             n_train=100_000, rng=np.random.default_rng(0),
         )
-        assert sampler.context_names == ("A", "B")
+        assert sampler.nodes["C"].context_names == ("A", "B")
+        assert sampler.required_inputs == {"A", "B"}
         pbc = joint.marginal(["B", "C"])
         cond = pbc.probs / pbc.probs.sum(axis=1, keepdims=True)
         rng = np.random.default_rng(1)
         for a in range(2):
             for b in range(2):
-                cols = {"A": np.full(100_000, a, dtype=np.int64), "B": np.full(100_000, b, dtype=np.int64)}
-                draws = sampler.sample_n(cols, 100_000, rng)
-                emp = empirical_distribution(
-                    Dataset((g.variable("C"),), draws.reshape(-1, 1)), ["C"]
-                )
+                query = QuerySpec(("C",), (("A", a),), (("B", b),))
+                draws = sample_interventional(sampler, query, 100_000, rng)
+                emp = empirical_distribution(draws, ["C"])
                 assert tvd(emp, DistTable((g.variable("C"),), cond[b])) < 0.02
 
     def test_hedge_propagates(self):
@@ -500,11 +507,7 @@ class TestConditionalSampler:
         rng = np.random.default_rng(1)
         n = 120_000
         for b in range(2):
-            cols = {"A": np.zeros(n, dtype=np.int64), "B": np.full(n, b, dtype=np.int64)}
-            out = sampler.sample_columns(cols, n, rng)
-            rows = np.column_stack([out["C"], out["D"]])
-            emp = empirical_distribution(
-                Dataset((g.variable("C"), g.variable("D")), rows), ["C", "D"]
-            )
+            draws = sample_interventional(sampler, QuerySpec(("C", "D"), (("A", 0),), (("B", b),)), n, rng)
+            emp = empirical_distribution(draws, ["C", "D"])
             truth = DistTable((g.variable("C"), g.variable("D")), cond[b])
             assert tvd(emp, truth) < 0.02

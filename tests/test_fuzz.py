@@ -1,5 +1,6 @@
 """Property tests for the text parsers: every input either parses or raises the
-parser's own error type, never an IndexError, ValueError or the like."""
+parser's own error type, never an IndexError, ValueError or the like; and the
+CLI answers every CSV with an exit code, never a traceback."""
 
 from __future__ import annotations
 
@@ -10,8 +11,9 @@ pytest.importorskip("hypothesis")  # dev-only dependency
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from causalgen.cli import main
 from causalgen.engine import parse_query
-from causalgen.graphs import GraphError
+from causalgen.graphs import GraphError, parse_graph
 from causalgen.scm import ScmError, catalog_entry, read_scm, write_scm
 from conftest import frontdoor_graph
 
@@ -77,3 +79,53 @@ def test_read_scm_parses_or_raises_scm_error(scm_dir, data):
         read_scm(scm_dir / "fuzz.scm")
     except (GraphError, ScmError):
         pass
+
+
+GRAPH_TOKENS = st.one_of(
+    st.sampled_from(["var", "edge", "confound", "->", "<->", "X", "Y", "Z", "2", "3", "1", "0", "-1", "1.5", "#"]),
+    st.text(max_size=4),
+)
+
+
+@FUZZ
+@given(st.one_of(
+    st.lists(st.lists(GRAPH_TOKENS, max_size=5).map(" ".join), max_size=6).map("\n".join),
+    st.text(max_size=40),
+))
+def test_parse_graph_parses_or_raises_graph_error(text):
+    try:
+        parse_graph(text)
+    except GraphError:
+        pass
+
+
+CSV_CELLS = st.one_of(
+    st.sampled_from(["0", "1", "2", "-1", "a", "", " ", "1.5", "+1", "99999999999999999999", "9223372036854775807"]),
+    st.text(max_size=3),
+)
+
+
+@st.composite
+def csv_texts(draw):
+    """A header over the frontdoor names (or others) and rows of cells, ragged or not."""
+    header = draw(st.lists(st.sampled_from(["X", "S", "R", "Q", ""]), max_size=4))
+    width = st.integers(0, 4) if draw(st.booleans()) else st.just(len(header))
+    rows = draw(st.lists(width.flatmap(lambda k: st.lists(CSV_CELLS, min_size=k, max_size=k)), max_size=6))
+    return "\n".join(",".join(cells) for cells in [header] + rows) + "\n"
+
+
+@pytest.fixture
+def frontdoor_dir(tmp_path):
+    write_scm(catalog_entry("frontdoor").scm, tmp_path / "fd.scm", tmp_path / "fd.graph")
+    (tmp_path / "q.txt").write_text("target=R\ndo=X=1\n")
+    return tmp_path
+
+
+@FUZZ
+@given(data=st.data())
+def test_sample_answers_any_csv_with_an_exit_code(frontdoor_dir, data):
+    text = data.draw(st.one_of(csv_texts(), st.text(max_size=40)))
+    (frontdoor_dir / "obs.csv").write_text(text, encoding="utf-8")
+    code = main(["sample", "--graph", str(frontdoor_dir / "fd.graph"), "--query", str(frontdoor_dir / "q.txt"),
+                 "--data", str(frontdoor_dir / "obs.csv"), "--n", "5", "--out", str(frontdoor_dir / "out")])
+    assert code in (0, 1, 2)

@@ -12,7 +12,7 @@ from causalgen.identify import (
     identify_effect,
     maximal_rule2_shift,
 )
-from causalgen.scm import exact_joint, interventional_marginal, noisy_copy_scm
+from causalgen.scm import exact_interventional, exact_joint, noisy_copy_scm
 from conftest import (
     backdoor_graph,
     bow_graph,
@@ -86,7 +86,7 @@ class TestUnconditional:
         joint = exact_joint(m)
         got = evaluate_estimand(identify_effect({"Y"}, {"X"}, g).estimand, joint)
         for x in range(2):
-            truth = interventional_marginal(m, {"X": x}, ["Y"])
+            truth = exact_interventional(m, {"X": x}).marginal(["Y"])
             assert np.abs(got.fix({"X": x}).probs - truth.probs).max() < 1e-9
 
     def test_double_napkin_matches_staged_product(self):
@@ -173,7 +173,7 @@ class TestUnconditional:
             got = evaluate_estimand(result.estimand, joint)
             for xv in (0, 1) if x else ((),):
                 do = {n: xv for n in x} if x else {}
-                truth = interventional_marginal(m, do, y)
+                truth = exact_interventional(m, do).marginal(y)
                 sym = got.fix({k: v for k, v in do.items() if k in got.names})
                 ordered = np.transpose(sym.probs, [sym.names.index(n) for n in truth.names])
                 assert np.abs(ordered - truth.probs).max() < 1e-9

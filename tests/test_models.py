@@ -9,10 +9,10 @@ from causalgen.models import (
     DataError,
     Dataset,
     ExactConditionalModel,
+    UniformModel,
     exact_conditional,
     fit_conditional,
     read_dataset_csv,
-    uniform_model,
     write_dataset_csv,
 )
 from causalgen.scm import empirical_distribution, exact_joint, noisy_copy_scm, sample_observational, tvd
@@ -126,18 +126,18 @@ class TestSampling:
 
 class TestUniformModel:
     def test_binary_frequencies(self):
-        m = uniform_model(Variable("Y", 2))
+        m = UniformModel(Variable("Y", 2))
         draws = m.sample_n({}, 10_000, np.random.default_rng(4))
         assert abs(draws.mean() - 0.5) < 0.01
 
     def test_three_state_frequencies(self):
-        m = uniform_model(Variable("Y", 3))
+        m = UniformModel(Variable("Y", 3))
         draws = m.sample_n({}, 30_000, np.random.default_rng(5))
         for state in range(3):
             assert abs((draws == state).mean() - 1 / 3) < 0.01
 
     def test_range_contract(self):
-        m = uniform_model(Variable("Y", 5))
+        m = UniformModel(Variable("Y", 5))
         assert 0 <= m.sample({}, np.random.default_rng(6)) < 5
 
 

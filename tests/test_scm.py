@@ -17,7 +17,6 @@ from causalgen.scm import (
     empirical_distribution,
     exact_interventional,
     exact_joint,
-    interventional_marginal,
     noisy_copy_scm,
     read_scm,
     sample_observational,
@@ -187,7 +186,7 @@ class TestExactInterventional:
         joint = exact_joint(m)
         est = evaluate_estimand(identify_effect({"R"}, {"X"}, m.graph).estimand, joint)
         for x in range(2):
-            truth = interventional_marginal(m, {"X": x}, ["R"])
+            truth = exact_interventional(m, {"X": x}).marginal(["R"])
             assert np.abs(est.fix({"X": x}).probs - truth.probs).max() < 1e-9
 
     def test_out_of_range_do(self):
@@ -265,8 +264,8 @@ class TestCatalog:
             for q in entry.queries:
                 if not q.identifiable or q.given:
                     continue
-                a = interventional_marginal(entry.scm, {q.do[0]: 0}, q.targets)
-                b = interventional_marginal(entry.scm, {q.do[0]: 1}, q.targets)
+                a = exact_interventional(entry.scm, {q.do[0]: 0}).marginal(q.targets)
+                b = exact_interventional(entry.scm, {q.do[0]: 1}).marginal(q.targets)
                 assert tvd(a, b) > 0.05, entry.name
 
 
@@ -293,6 +292,9 @@ class TestSerialization:
             ("graph", "fd.scm:3"),
             ("graph missing.graph", "fd.scm:3"),
             ("noise X nan nan", "bad noise distribution"),
+            ("noise Z 0.5 0.5", "fd.scm:3"),
+            ("mech Z 0 1", "fd.scm:3"),
+            ("latent X Q 0.5 0.5", "fd.scm:3"),
         ],
     )
     def test_malformed_line(self, tmp_path, line, match):
