@@ -259,11 +259,12 @@ def _configurations(g: Admg, names: tuple[str, ...]):
 
 
 def cmd_eval(args) -> int:
-    rng = np.random.default_rng(args.seed)
     rows = ["| query | fitted tvd | exact tvd |", "| --- | --- | --- |"]
     if args.catalog:
         entries = scm.catalog() if args.catalog == "all" else [scm.catalog_entry(args.catalog)]
         for entry in entries:
+            # one generator per entry, so its rows do not depend on the entries run before it
+            rng = np.random.default_rng(args.seed)
             for query in entry.queries:
                 rows.append(_eval_one(entry, query, args, rng))
     elif args.scm and args.query:
@@ -279,7 +280,7 @@ def cmd_eval(args) -> int:
             result = identify.identify_effect(frozenset(q.targets), frozenset(do_names), model.graph)
         entry = scm.CatalogEntry(Path(args.scm).stem, model, ())
         query = scm.CatalogQuery(q.targets, do_names, given_names, identifiable=result.identifiable)
-        rows.append(_eval_one(entry, query, args, rng))
+        rows.append(_eval_one(entry, query, args, np.random.default_rng(args.seed)))
     else:
         raise InputError("provide --catalog, or both --scm and --query")
     print("\n".join(rows))

@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .estimands import DistTable
+from .estimands import DistTable, contract
 from .graphs import Admg, GraphError, Variable
 from .identify import Hedge, NotIdentifiable, TraceEntry, check_query, maximal_rule2_shift, run_id
 from .models import (
@@ -305,14 +305,8 @@ class DatasetSource:
         return DatasetSource(self.dataset.restrict(keep))
 
     def marginal_table(self, names: Sequence[str]) -> DistTable:
-        variables = tuple(self.dataset.variable(n) for n in names)
-        shape = tuple(v.cardinality for v in variables)
-        idx = np.zeros(self.dataset.n, dtype=np.int64)
-        for v in variables:
-            idx = idx * v.cardinality + self.dataset.column(v.name)
-        counts = np.bincount(idx, minlength=int(np.prod(shape))).astype(float)
-        smoothed = counts + 1.0
-        return DistTable(variables, (smoothed / smoothed.sum()).reshape(shape))
+        smoothed = self.dataset.counts(names) + 1.0
+        return DistTable(tuple(self.dataset.variable(n) for n in names), smoothed / smoothed.sum())
 
     def regenerate(
         self,
@@ -364,9 +358,8 @@ class ExactSource:
         return ExactSource(self.table.marginal(keep), self._intervened & keep)
 
     def marginal_table(self, names: Sequence[str]) -> DistTable:
-        sub = self.table.marginal(names)
-        perm = [sub.names.index(n) for n in names]
-        return DistTable(tuple(sub.variables[i] for i in perm), np.transpose(sub.probs, perm))
+        probs = contract([(self.table.names, self.table.probs)], names)
+        return DistTable(tuple(self.variable(n) for n in names), probs)
 
     def regenerate(
         self,
@@ -381,36 +374,18 @@ class ExactSource:
     ) -> ExactSource:
         # analytic counterpart of sampled regeneration: anchor marginal times
         # proposal times the chain of exact conditionals
-        axes = list(order)
-        shape = tuple(variables[n].cardinality for n in axes)
-        out = np.ones((1,) * len(axes))
-        if anchor_names:
-            anchors = self.marginal_table(anchor_names)
-            out = out * _factor_over(axes, shape, anchors.names, anchors.probs)
-        out = out * _factor_over(axes, shape, proposal.names, proposal.probs)
-        for model in chain:
-            names = model.context_names + (model.target.name,)
-            out = out * _factor_over(axes, shape, names, model.conditional_table())
-        table = DistTable(tuple(variables[n] for n in axes), np.broadcast_to(out, shape).copy())
+        factors = [(anchor_names, self.marginal_table(anchor_names).probs)] if anchor_names else []
+        factors.append((proposal.names, proposal.probs))
+        factors += [(m.context_names + (m.target.name,), m.conditional_table()) for m in chain]
+        table = DistTable(tuple(variables[n] for n in order), contract(factors, order))
         return ExactSource(table, intervened)
 
 
 def _sample_joint(table: DistTable, n: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    idx = np.unravel_index(draw_categorical(table.probs.reshape(-1), n, rng), table.probs.shape)
+    flat = draw_categorical(table.probs.reshape(1, -1), np.zeros(n, dtype=np.int64), rng)
+    idx = np.unravel_index(flat, table.probs.shape)
     # contiguous copies: the unravelled columns are strided views of one (n, ndim) block
     return {v.name: idx[i].astype(np.int64) for i, v in enumerate(table.variables)}
-
-
-def _factor_over(
-    axes: Sequence[str], shape: Sequence[int], names: Sequence[str], array: np.ndarray
-) -> np.ndarray:
-    """Reshape an array whose dims follow `names` for broadcasting over `axes`."""
-    positions = [axes.index(n) for n in names]
-    moved = np.transpose(array, np.argsort(positions))
-    full = [1] * len(axes)
-    for p, size in zip(sorted(positions), moved.shape):
-        full[p] = size
-    return moved.reshape(full)
 
 
 # -- the recursion ------------------------------------------------------------------
@@ -503,6 +478,8 @@ def build_network(
     y, x, _ = check_query(y, x, g)
     if proposal not in ("uniform", "marginal"):
         raise EngineError(f"unknown proposal {proposal!r}")
+    if not (math.isfinite(dprime_mult) and dprime_mult > 0):
+        raise EngineError(f"dprime_mult must be finite and positive, got {dprime_mult}")
     state = RecursionState(y, x, g, source, frozenset(), g)
     ctx = BuildContext(
         root_order=tuple(g.topological_order()),

@@ -11,7 +11,7 @@ arrays aligned on the observational table's variable axes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Hashable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -66,6 +66,22 @@ class DistTable:
                 idx.append(slice(None))
                 variables.append(v)
         return DistTable(tuple(variables), self.probs[tuple(idx)])
+
+
+Factor = tuple[Sequence[Hashable], np.ndarray]  # (axis labels, table)
+
+
+def contract(factors: Iterable[Factor], keep: Sequence[Hashable]) -> np.ndarray:
+    """Multiply labelled tables and sum out every label not in `keep`; the
+    result's axes follow `keep`."""
+    index: dict = {}
+    operands: list = []
+    for labels, table in factors:
+        operands += [table, [index.setdefault(label, len(index)) for label in labels]]
+    unknown = [label for label in keep if label not in index]
+    if unknown:
+        raise EvaluationError(f"unknown variables {unknown}")
+    return np.einsum(*operands, [index[label] for label in keep])
 
 
 # -- expression tree -----------------------------------------------------------
@@ -289,10 +305,7 @@ class _Evaluator:
             joint = self.eval(e.ref.expr)
             scope = set(e.ref.over)
         else:
-            shape = [1] * self.rank
-            for i, v in enumerate(self.obs.variables):
-                shape[self.axis[v.name]] = v.cardinality
-            joint = self.obs.probs.reshape(shape)
+            joint = self.obs.probs
             scope = set(self.obs.names)
         missing = (set(e.targets) | set(e.context)) - scope
         if missing:

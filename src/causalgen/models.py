@@ -10,6 +10,7 @@ conditionals extracted from a known joint, and context-free uniform samplers.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .estimands import DistTable
+from .estimands import DistTable, contract
 from .graphs import Variable
 
 
@@ -65,6 +66,12 @@ class Dataset:
     def column(self, name: str) -> np.ndarray:
         return self.rows[:, self.names.index(name)]
 
+    def counts(self, names: Sequence[str]) -> np.ndarray:
+        """Joint counts of the named columns, shaped by their cardinalities."""
+        cards = [self.variable(n).cardinality for n in names]
+        idx = joint_index([self.column(n) for n in names], cards, self.n)
+        return np.bincount(idx, minlength=math.prod(cards)).reshape(cards)
+
     def restrict(self, keep: Iterable[str]) -> Dataset:
         keep = set(keep)
         unknown = keep - set(self.names)
@@ -98,6 +105,9 @@ def read_dataset_csv(path: str | Path, sidecar: str | Path | None = None) -> Dat
         if not header:
             raise DataError(f"{path}: empty csv")
         names = header.split(",")
+        repeated = next((n for i, n in enumerate(names) if n in names[:i]), None)
+        if repeated is not None:
+            raise DataError(f"{path}: column {repeated!r} appears twice in the header")
         if not _ascii_rest(fh):
             raise DataError(f"{path}: the rows hold non-ASCII characters")
         try:
@@ -113,14 +123,28 @@ def read_dataset_csv(path: str | Path, sidecar: str | Path | None = None) -> Dat
     cards: dict[str, int] = {}
     intervened: frozenset[str] = frozenset()
     if sidecar is not None and Path(sidecar).exists():
-        meta = json.loads(Path(sidecar).read_text())
-        cards = {str(k): int(v) for k, v in meta.get("cardinalities", {}).items()}
-        intervened = frozenset(meta.get("intervened", []))
+        cards, intervened = _read_sidecar(Path(sidecar))
     variables = tuple(
         Variable(n, cards.get(n, max(2, int(rows[:, i].max()) + 1 if rows.size else 2)))
         for i, n in enumerate(names)
     )
     return Dataset(variables, rows, intervened)
+
+
+def _read_sidecar(path: Path) -> tuple[dict[str, int], frozenset[str]]:
+    """The cardinalities and intervened columns `write_dataset_csv` records."""
+    try:
+        meta = json.loads(path.read_text())
+    except ValueError as exc:  # malformed JSON or undecodable bytes
+        raise DataError(f"{path}: {exc}") from None
+    if not isinstance(meta, dict):
+        raise DataError(f"{path}: expected a JSON object")
+    cards, intervened = meta.get("cardinalities", {}), meta.get("intervened", [])
+    if not isinstance(cards, dict) or any(type(v) is not int for v in cards.values()):
+        raise DataError(f"{path}: cardinalities must map names to integers")
+    if not isinstance(intervened, list) or any(not isinstance(n, str) for n in intervened):
+        raise DataError(f"{path}: intervened must be a list of names")
+    return cards, frozenset(intervened)
 
 
 def _ascii_rest(fh) -> bool:
@@ -161,29 +185,41 @@ class ConditionalModel:
         return int(self.sample_n(cols, 1, rng)[0])
 
     def sample_n(self, ctx_cols: Mapping[str, np.ndarray], n: int, rng: np.random.Generator) -> np.ndarray:
-        table = self.conditional_table().reshape(-1, self.target.cardinality)
-        if self.context:
-            missing = [v.name for v in self.context if v.name not in ctx_cols]
-            if missing:
-                raise DataError(f"missing context columns {missing} for {self.target.name}")
-            idx = np.zeros(n, dtype=np.int64)
-            for v in self.context:
-                idx = idx * v.cardinality + ctx_cols[v.name]
-        else:
-            idx = np.zeros(n, dtype=np.int64)
-        cdf = np.cumsum(table, axis=1)
-        u = rng.random(n)
-        draws = (u[:, None] > cdf[idx]).sum(axis=1)
-        return np.clip(draws, 0, self.target.cardinality - 1).astype(np.int64)
+        missing = [v.name for v in self.context if v.name not in ctx_cols]
+        if missing:
+            raise DataError(f"missing context columns {missing} for {self.target.name}")
+        cards = [v.cardinality for v in self.context]
+        rows = joint_index([ctx_cols[v.name] for v in self.context], cards, n)
+        return draw_categorical(self.conditional_table().reshape(-1, self.target.cardinality), rows, rng)
 
 
-def draw_categorical(probs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n independent draws of an index into the 1-d distribution `probs`, by
-    inverse CDF. (`ConditionalModel.sample_n` instead draws each row from the
-    row of its own context.)"""
-    cdf = np.cumsum(probs)
-    out = np.searchsorted(cdf, rng.random(n) * cdf[-1], side="right")
-    return np.clip(out, 0, probs.shape[0] - 1).astype(np.int64)
+def joint_index(columns: Sequence[np.ndarray], cards: Sequence[int], n: int) -> np.ndarray:
+    """Row-major flat index of n joint assignments, one column per variable."""
+    return np.ravel_multi_index(tuple(columns), tuple(cards)) if cards else np.zeros(n, dtype=np.int64)
+
+
+def draw_categorical(table: np.ndarray, rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One inverse-CDF draw per entry of `rows`, from that row of the (contexts x
+    states) `table`: how many of the row's cumulative probabilities, the last one
+    excluded, a uniform exceeds, found by a branchless binary search in log2(k)
+    gathers per draw (comparing with every threshold would cost k)."""
+    k = table.shape[1]
+    width = 1 << (k - 1).bit_length()
+    # row r holds its thresholds at r * width + 1 ..., padded with +inf; slot 0 is unused
+    thresholds = np.full((table.shape[0], width), np.inf)
+    thresholds[:, 1:k] = np.cumsum(table[:, :-1], axis=1)
+    thresholds = thresholds.ravel()
+    u = rng.random(len(rows))
+    # row start plus the count so far; with one row `rows` is not read
+    pos = rows * width if table.shape[0] > 1 else np.zeros(len(rows), dtype=np.int64)
+    probe = np.empty_like(pos)  # reused: a fresh index array per pass costs twice the time at k = 300
+    step = width // 2
+    while step:
+        np.add(pos, step, out=probe)
+        pos += step * (u > thresholds[probe])
+        step //= 2
+    pos &= width - 1
+    return pos
 
 
 def _check_table(model: CptModel | ExactConditionalModel) -> None:
@@ -249,33 +285,18 @@ def fit_conditional(d: Dataset, target: str, context: Sequence[str]) -> CptModel
     tgt = d.variable(target)
     if target in context:
         raise DataError(f"target {target!r} appears in its own context")
-    ctx_vars = tuple(d.variable(c) for c in context)
-    k = tgt.cardinality
-    n_ctx = 1
-    for v in ctx_vars:
-        n_ctx *= v.cardinality
-    idx = np.zeros(d.n, dtype=np.int64)
-    for v in ctx_vars:
-        idx = idx * v.cardinality + d.column(v.name)
-    flat = idx * k + d.column(target)
-    counts = np.bincount(flat, minlength=n_ctx * k).reshape(n_ctx, k).astype(float)
-    table = (counts + 1.0) / (counts.sum(axis=1, keepdims=True) + k)
-    shape = tuple(v.cardinality for v in ctx_vars) + (k,)
-    return CptModel(tgt, ctx_vars, table.reshape(shape))
+    counts = d.counts([*context, target]).astype(float)
+    table = (counts + 1.0) / (counts.sum(axis=-1, keepdims=True) + tgt.cardinality)
+    return CptModel(tgt, tuple(d.variable(c) for c in context), table)
 
 
 def exact_conditional(joint: DistTable, target: str, context: Sequence[str]) -> ExactConditionalModel:
     """Model whose conditional equals the exact conditional of the given joint."""
     if target in context:
         raise DataError(f"target {target!r} appears in its own context")
-    names = list(context) + [target]
-    sub = joint.marginal(names)
-    # put axes into (context..., target) order
-    perm = [sub.names.index(n) for n in names]
-    probs = np.transpose(sub.probs, perm)
+    probs = contract([(joint.names, joint.probs)], [*context, target])
     den = probs.sum(axis=-1, keepdims=True)
     if np.any(den <= 0):
         raise DataError("context configuration with zero marginal mass")
-    ctx_vars = tuple(sub.variables[sub.names.index(c)] for c in context)
-    tgt = sub.variables[sub.names.index(target)]
-    return ExactConditionalModel(tgt, ctx_vars, probs / den)
+    variables = dict(zip(joint.names, joint.variables))
+    return ExactConditionalModel(variables[target], tuple(variables[c] for c in context), probs / den)

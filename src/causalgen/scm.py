@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .estimands import DistTable
+from .estimands import DistTable, Factor, contract
 from .graphs import Admg, Variable, format_graph, parse_graph
 from .models import DataError, Dataset, draw_categorical
 
@@ -86,8 +86,9 @@ def sample_observational(m: DiscreteScm, n: int, rng: np.random.Generator) -> Da
     if n <= 0:
         raise ScmError("sample count must be positive")
     g = m.graph
-    noise = {name: draw_categorical(m.noise[name], n, rng) for name in g.names}
-    latents = {pair: draw_categorical(m.latents[pair], n, rng) for pair in g.latent_pairs()}
+    row0 = np.zeros(n, dtype=np.int64)
+    noise = {name: draw_categorical(m.noise[name][None], row0, rng) for name in g.names}
+    latents = {pair: draw_categorical(m.latents[pair][None], row0, rng) for pair in g.latent_pairs()}
     values: dict[str, np.ndarray] = {}
     for name in g.topological_order():
         index = [values[p] for p in g.parents(name)] + [noise[name]]
@@ -105,21 +106,13 @@ def _kernel(m: DiscreteScm, name: str) -> np.ndarray:
     return np.tensordot(hits, m.noise[name], axes=(len(m.graph.parents(name)), 0))
 
 
-Factor = tuple[tuple, np.ndarray]  # (axis labels: variable names and latent pairs, table)
-
-
 def _product(factors: Sequence[Factor], keep: Sequence) -> np.ndarray:
-    """Multiply the factors and sum out every label not in `keep`."""
-    index: dict = {}
-    dims: dict = {}
-    operands: list = []
-    for labels, table in factors:
-        dims.update(zip(labels, table.shape))
-        operands += [table, [index.setdefault(label, len(index)) for label in labels]]
+    """`contract` under the enumeration budget on the output's cells."""
+    dims = {label: size for labels, table in factors for label, size in zip(labels, table.shape)}
     cells = math.prod(dims[label] for label in keep)
     if cells > ENUMERATION_BUDGET:
         raise ScmError(f"table of {cells} cells exceeds the enumeration budget")
-    return np.einsum(*operands, [index[label] for label in keep])
+    return contract(factors, keep)
 
 
 def _eliminate(m: DiscreteScm, do: Mapping[str, int]) -> DistTable:
@@ -169,13 +162,7 @@ def empirical_distribution(d: Dataset, names: Iterable[str]) -> DistTable:
     if d.n == 0:
         raise DataError("empty dataset")
     names = list(names)
-    variables = tuple(d.variable(n) for n in names)
-    cards = [v.cardinality for v in variables]
-    flat = np.zeros(d.n, dtype=np.int64)
-    for name, card in zip(names, cards):
-        flat = flat * card + d.column(name)
-    counts = np.bincount(flat, minlength=math.prod(cards)).astype(float)
-    return DistTable(variables, (counts / d.n).reshape(tuple(cards)))
+    return DistTable(tuple(d.variable(n) for n in names), d.counts(names) / d.n)
 
 
 def sampling_tolerance(k: int, n: int, base: float = 0.01) -> float:

@@ -7,7 +7,7 @@ import pytest
 from causalgen.cli import main
 from causalgen.graphs import format_graph
 from causalgen.models import read_dataset_csv
-from causalgen.scm import catalog_entry, write_scm
+from causalgen.scm import catalog, catalog_entry, write_scm
 from conftest import admg, bow_graph
 
 
@@ -192,6 +192,17 @@ class TestEval:
         assert "HEDGE" in out
 
 
+    def test_catalog_all_rows_match_single_entries(self, capsys):
+        args = ["--n", "2000", "--obs-n", "2000", "--seed", "3"]
+        assert main(["eval", "--catalog", "all", *args]) == 0
+        rows = capsys.readouterr().out.splitlines()[2:]
+        single = []
+        for entry in catalog():
+            assert main(["eval", "--catalog", entry.name, *args]) == 0
+            single += capsys.readouterr().out.splitlines()[2:]
+        assert rows == single
+
+
 class TestIngressErrors:
     @pytest.mark.parametrize("command", ["identify", "sample", "eval"])
     def test_non_integer_query_value(self, frontdoor_files, capsys, command):
@@ -227,6 +238,29 @@ class TestIngressErrors:
                                     "--query", str(frontdoor_files / "query.txt"),
                                     "--data", str(frontdoor_files / "bad.csv"),
                                     "--out", str(frontdoor_files / "o")], fragment)
+
+    def test_sample_repeated_csv_column(self, frontdoor_files, capsys):
+        (frontdoor_files / "dup.csv").write_text("X,S,R,X\n0,0,0,1\n1,1,1,0\n")
+        assert_input_error(capsys, ["sample", "--graph", str(frontdoor_files / "frontdoor.graph"),
+                                    "--query", str(frontdoor_files / "query.txt"),
+                                    "--data", str(frontdoor_files / "dup.csv"),
+                                    "--out", str(frontdoor_files / "o")], "dup.csv: column 'X'")
+
+    @pytest.mark.parametrize("text", ["{bad", '{"cardinalities": {"X": "a"}}', "[1, 2]"])
+    def test_sample_malformed_sidecar(self, frontdoor_files, capsys, text):
+        (frontdoor_files / "obs.csv").write_text("X,S,R\n0,0,0\n1,1,1\n")
+        (frontdoor_files / "obs.sidecar.json").write_text(text)
+        assert_input_error(capsys, ["sample", "--graph", str(frontdoor_files / "frontdoor.graph"),
+                                    "--query", str(frontdoor_files / "query.txt"),
+                                    "--data", str(frontdoor_files / "obs.csv"),
+                                    "--out", str(frontdoor_files / "o")], "obs.sidecar.json")
+
+    @pytest.mark.parametrize("mult", ["nan", "inf", "0", "-1"])
+    def test_sample_bad_dprime_mult(self, frontdoor_files, capsys, mult):
+        assert_input_error(capsys, ["sample", "--graph", str(frontdoor_files / "frontdoor.graph"),
+                                    "--query", str(frontdoor_files / "query.txt"),
+                                    "--scm", str(frontdoor_files / "frontdoor.scm"),
+                                    "--dprime-mult", mult, "--out", str(frontdoor_files / "o")], "dprime_mult")
 
     def test_sample_data_cardinality_mismatch(self, tmp_path, capsys):
         # S has 3 states in the graph, but the csv (no sidecar) only shows 0 and 1

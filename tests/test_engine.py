@@ -434,6 +434,9 @@ class TestBuildNetwork:
             build_network({"A"}, {"A"}, g, src)
         with pytest.raises(EngineError):
             build_network({"C"}, {"A"}, g, src, proposal="other")
+        for mult in (float("nan"), float("inf"), 0.0, -1.0):
+            with pytest.raises(EngineError):
+                build_network({"C"}, {"A"}, g, src, dprime_mult=mult)
 
     def test_manifest_is_deterministic(self):
         g = frontdoor_graph()

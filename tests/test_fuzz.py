@@ -1,8 +1,10 @@
 """Property tests for the text parsers: every input either parses or raises the
 parser's own error type, never an IndexError, ValueError or the like; and the
-CLI answers every CSV with an exit code, never a traceback."""
+CLI answers every CSV and sidecar with an exit code, never a traceback."""
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
@@ -114,6 +116,16 @@ def csv_texts(draw):
     return "\n".join(",".join(cells) for cells in [header] + rows) + "\n"
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 5) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["cardinalities", "intervened", "X", "S", "R"]), inner, max_size=3),
+    max_leaves=8,
+)
+# None: no sidecar next to the csv
+SIDECAR_TEXTS = st.one_of(st.none(), st.text(max_size=40), JSON_VALUES.map(json.dumps))
+
+
 @pytest.fixture
 def frontdoor_dir(tmp_path):
     write_scm(catalog_entry("frontdoor").scm, tmp_path / "fd.scm", tmp_path / "fd.graph")
@@ -126,6 +138,11 @@ def frontdoor_dir(tmp_path):
 def test_sample_answers_any_csv_with_an_exit_code(frontdoor_dir, data):
     text = data.draw(st.one_of(csv_texts(), st.text(max_size=40)))
     (frontdoor_dir / "obs.csv").write_text(text, encoding="utf-8")
+    sidecar = data.draw(SIDECAR_TEXTS)
+    if sidecar is None:
+        (frontdoor_dir / "obs.sidecar.json").unlink(missing_ok=True)
+    else:
+        (frontdoor_dir / "obs.sidecar.json").write_text(sidecar, encoding="utf-8")
     code = main(["sample", "--graph", str(frontdoor_dir / "fd.graph"), "--query", str(frontdoor_dir / "q.txt"),
                  "--data", str(frontdoor_dir / "obs.csv"), "--n", "5", "--out", str(frontdoor_dir / "out")])
     assert code in (0, 1, 2)

@@ -10,6 +10,7 @@ from causalgen.models import (
     Dataset,
     ExactConditionalModel,
     UniformModel,
+    draw_categorical,
     exact_conditional,
     fit_conditional,
     read_dataset_csv,
@@ -122,6 +123,30 @@ class TestSampling:
         assert value in (0, 1)
         with pytest.raises(DataError):
             m.sample_n({}, 3, np.random.default_rng(0))
+
+
+def gather_reference(table, rows, rng):
+    """Inverse CDF by comparing the uniform with every cumulative probability
+    of its row, as `ConditionalModel.sample_n` drew before the binary search."""
+    cdf = np.cumsum(table, axis=1)
+    u = rng.random(len(rows))
+    return np.clip((u[:, None] > cdf[rows]).sum(axis=1), 0, table.shape[1] - 1)
+
+
+class TestDrawCategorical:
+    # a one-state noise is legal in an SCM file; 300 states search 9 levels deep
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 17, 300])
+    @pytest.mark.parametrize("contexts", [1, 12])
+    def test_matches_gather_reference(self, k, contexts):
+        gen = np.random.default_rng(100 * k + contexts)
+        table = gen.dirichlet(np.ones(k), size=contexts)
+        table[:, 1::4] = 0.0  # states that must never be drawn
+        table /= table.sum(axis=1, keepdims=True)
+        rows = gen.integers(0, contexts, size=20_000)
+        expected = gather_reference(table, rows, np.random.default_rng(7))
+        drawn = draw_categorical(table, rows, np.random.default_rng(7))
+        assert drawn.dtype == np.int64
+        assert np.array_equal(drawn, expected)
 
 
 class TestUniformModel:
