@@ -199,56 +199,41 @@ def _eval_one(entry: scm.CatalogEntry, query: scm.CatalogQuery, args, rng) -> st
     if not query.identifiable:
         return f"| {label} | HEDGE | HEDGE |"
     joint = scm.exact_joint(entry.scm)
+    if query.given:
+        ref = identify.identify_conditional_effect(
+            frozenset(query.targets), frozenset(query.do), frozenset(query.given), g
+        )
+        table = evaluate_estimand(ref.estimand, joint)
+        truth = lambda fixed: table.fix({k: v for k, v in fixed.items() if k in table.names})
+    else:
+        truth = lambda fixed: scm.exact_interventional(entry.scm, fixed).marginal(query.targets)
     obs = scm.sample_observational(entry.scm, args.obs_n, rng)
-    columns = []
-    for source in (engine.DatasetSource(obs), engine.ExactSource(joint)):
-        if query.given:
-            worst = _conditional_tvd(entry, query, source, joint, args, rng)
-        else:
-            worst = _unconditional_tvd(entry, query, source, args, rng)
-        columns.append(f"{worst:.4f}")
+    columns = [
+        f"{_worst_tvd(g, query, source, truth, args, rng):.4f}"
+        for source in (engine.DatasetSource(obs), engine.ExactSource(joint))
+    ]
     return f"| {label} | {columns[0]} | {columns[1]} |"
 
 
-def _unconditional_tvd(entry, query, source, args, rng) -> float:
-    g = entry.scm.graph
-    build = engine.build_network(
-        frozenset(query.targets), frozenset(query.do), g, source,
-        proposal=args.proposal, dprime_mult=args.dprime_mult, rng=rng,
-    )
-    worst = 0.0
-    for do_vals in _configurations(g, query.do):
-        spec = engine.QuerySpec(query.targets, tuple(do_vals.items()))
-        drawn = engine.sample_interventional(build.network, spec, args.n, rng, workers=args.workers)
-        exact = scm.exact_interventional(entry.scm, do_vals).marginal(query.targets)
-        emp = scm.empirical_distribution(drawn, exact.names)
-        worst = max(worst, scm.tvd(emp, exact))
-    return worst
-
-
-def _conditional_tvd(entry, query, source, joint, args, rng) -> float:
-    g = entry.scm.graph
-    spec = engine.QuerySpec(
-        query.targets,
-        tuple((n, 0) for n in query.do),
-        tuple((n, 0) for n in query.given),
-    )
-    network = engine.build_conditional_sampler(
-        spec, g, source, n_train=args.n, proposal=args.proposal,
-        dprime_mult=args.dprime_mult, rng=rng,
-    )
-    ref = identify.identify_conditional_effect(
-        frozenset(query.targets), frozenset(query.do), frozenset(query.given), g
-    )
-    table = evaluate_estimand(ref.estimand, joint)
+def _worst_tvd(g: Admg, query: scm.CatalogQuery, source, truth, args, rng) -> float:
+    """Compile the query against `source`, then sample it at every do- and
+    given-configuration; the largest TVD from `truth(configuration)`."""
+    options = dict(proposal=args.proposal, dprime_mult=args.dprime_mult, rng=rng)
+    if query.given:
+        spec = engine.QuerySpec(
+            query.targets, tuple((n, 0) for n in query.do), tuple((n, 0) for n in query.given)
+        )
+        network = engine.build_conditional_sampler(spec, g, source, n_train=args.n, **options)
+    else:
+        y, x = frozenset(query.targets), frozenset(query.do)
+        network = engine.build_network(y, x, g, source, **options).network
     worst = 0.0
     for do_vals in _configurations(g, query.do):
         for given_vals in _configurations(g, query.given):
             probe = engine.QuerySpec(query.targets, tuple(do_vals.items()), tuple(given_vals.items()))
             drawn = engine.sample_interventional(network, probe, args.n, rng, workers=args.workers)
-            exact = table.fix({k: v for k, v in {**do_vals, **given_vals}.items() if k in table.names})
-            emp = scm.empirical_distribution(drawn, exact.names)
-            worst = max(worst, scm.tvd(emp, exact))
+            exact = truth({**do_vals, **given_vals})
+            worst = max(worst, scm.tvd(scm.empirical_distribution(drawn, exact.names), exact))
     return worst
 
 

@@ -11,7 +11,12 @@ distribution.
 
 Two interchangeable data sources drive the fits: a finite dataset (CPT fits,
 the end-to-end pipeline) and an exact joint table (exact conditionals, used to
-isolate network correctness from estimation error).
+isolate network correctness from estimation error). The recursion reads a
+source through `fit(target, context)`, `marginal_table(names)` and
+`regenerate(inner, proposal, anchor_names, multiplier, rng)`, which returns
+the step-7 source drawn from the inner network's models. A source is never
+narrowed: it may hold columns the working graph does not name, and only the
+graph's names are read.
 """
 
 from __future__ import annotations
@@ -74,9 +79,7 @@ class QuerySpec:
 
 
 def parse_query(text: str) -> QuerySpec:
-    targets: tuple[str, ...] = ()
-    do: tuple[tuple[str, int], ...] = ()
-    given: tuple[tuple[str, int], ...] = ()
+    fields: dict[str, tuple] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -85,28 +88,31 @@ def parse_query(text: str) -> QuerySpec:
             raise GraphError(f"query line {lineno}: expected key=value")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key == "target":
-            targets = tuple(v.strip() for v in value.split(",") if v.strip())
-        elif key in ("do", "given"):
-            pairs = []
-            for item in value.split(","):
-                item = item.strip()
-                if not item:
-                    continue
-                name, sep, val = item.partition("=")
-                if not sep:
-                    raise GraphError(f"query line {lineno}: expected var=value in {item!r}")
-                try:
-                    pairs.append((name.strip(), int(val)))
-                except ValueError:
-                    raise GraphError(f"query line {lineno}: value of {name.strip()!r} is not an integer") from None
-            if key == "do":
-                do = tuple(pairs)
-            else:
-                given = tuple(pairs)
-        else:
+        if key not in ("target", "do", "given"):
             raise GraphError(f"query line {lineno}: unknown key {key!r}")
-    return QuerySpec(targets, do, given)
+        if key in fields:
+            raise GraphError(f"query line {lineno}: repeated key {key!r}")
+        items = [item.strip() for item in value.split(",") if item.strip()]
+        if key == "target":
+            entries = names = tuple(items)
+        else:
+            entries = tuple(_assignment(item, lineno) for item in items)
+            names = tuple(name for name, _ in entries)
+        repeated = next((n for i, n in enumerate(names) if n in names[:i]), None)
+        if repeated is not None:
+            raise GraphError(f"query line {lineno}: {repeated!r} is listed twice")
+        fields[key] = entries
+    return QuerySpec(fields.get("target", ()), fields.get("do", ()), fields.get("given", ()))
+
+
+def _assignment(item: str, lineno: int) -> tuple[str, int]:
+    name, sep, val = item.partition("=")
+    if not sep:
+        raise GraphError(f"query line {lineno}: expected var=value in {item!r}")
+    try:
+        return name.strip(), int(val)
+    except ValueError:
+        raise GraphError(f"query line {lineno}: value of {name.strip()!r} is not an integer") from None
 
 
 def format_query(q: QuerySpec) -> str:
@@ -235,16 +241,8 @@ def ancestral_sample(
     streams = rng.spawn(workers)
 
     def chunk(size: int, stream: np.random.Generator) -> np.ndarray:
-        cols: dict[str, np.ndarray] = {}
-        for name in h.node_order:
-            model = h.nodes[name]
-            if name in fixed:
-                cols[name] = np.full(size, fixed[name], dtype=np.int64)
-            elif model is None:
-                cols[name] = fallbacks[name].sample_n(cols, size, stream)
-            else:
-                cols[name] = model.sample_n(cols, size, stream)
-        return np.column_stack([cols[name] for name in h.node_order])
+        cols = {name: np.full(size, value, dtype=np.int64) for name, value in fixed.items()}
+        return _draw_nodes(h, cols, size, stream, fallbacks)
 
     if workers == 1:
         rows = chunk(sizes[0], streams[0])
@@ -254,6 +252,23 @@ def ancestral_sample(
         rows = np.vstack(pieces)
     variables = tuple(h.variables[name] for name in h.node_order)
     return Dataset(variables, rows, frozenset(fixed))
+
+
+def _draw_nodes(
+    h: SamplingNetwork,
+    cols: dict[str, np.ndarray],
+    n: int,
+    rng: np.random.Generator,
+    fallbacks: Mapping[str, ConditionalModel],
+) -> np.ndarray:
+    """Draw n values of every node that `cols` does not already hold, in node
+    order, from its model (a placeholder from its fallback); return the (n, nodes)
+    rows in node order."""
+    for name in h.node_order:
+        if name not in cols:
+            model = h.nodes[name]
+            cols[name] = (model if model is not None else fallbacks[name]).sample_n(cols, n, rng)
+    return np.column_stack([cols[name] for name in h.node_order])
 
 
 def format_network(h: SamplingNetwork) -> str:
@@ -295,14 +310,8 @@ class DatasetSource:
     def intervened(self) -> frozenset[str]:
         return self.dataset.intervened
 
-    def variable(self, name: str) -> Variable:
-        return self.dataset.variable(name)
-
     def fit(self, target: str, context: Sequence[str]) -> ConditionalModel:
         return fit_conditional(self.dataset, target, context)
-
-    def restrict(self, keep: Iterable[str]) -> DatasetSource:
-        return DatasetSource(self.dataset.restrict(keep))
 
     def marginal_table(self, names: Sequence[str]) -> DistTable:
         smoothed = self.dataset.counts(names) + 1.0
@@ -310,26 +319,21 @@ class DatasetSource:
 
     def regenerate(
         self,
-        chain: Sequence[ConditionalModel],
+        inner: SamplingNetwork,
         proposal: DistTable,
         anchor_names: Sequence[str],
-        order: Sequence[str],
-        variables: Mapping[str, Variable],
-        intervened: frozenset[str],
         multiplier: float,
         rng: np.random.Generator,
     ) -> DatasetSource:
+        # the anchors cycle through the current rows, the proposal's variables are
+        # drawn jointly, and every model of `inner` is sampled ancestrally after them
         n_new = max(1, int(round(self.dataset.n * multiplier)))
         anchor_idx = np.arange(n_new, dtype=np.int64) % self.dataset.n
-        cols: dict[str, np.ndarray] = {
-            name: self.dataset.column(name)[anchor_idx] for name in anchor_names
-        }
+        cols = {name: self.dataset.column(name)[anchor_idx] for name in anchor_names}
         cols.update(_sample_joint(proposal, n_new, rng))
-        for model in chain:
-            cols[model.target.name] = model.sample_n(cols, n_new, rng)
-        rows = np.column_stack([cols[name] for name in order])
-        data = Dataset(tuple(variables[name] for name in order), rows, intervened)
-        return DatasetSource(data)
+        rows = _draw_nodes(inner, cols, n_new, rng, {})
+        variables = tuple(inner.variables[name] for name in inner.node_order)
+        return DatasetSource(Dataset(variables, rows, frozenset(inner.empty_nodes())))
 
 
 class ExactSource:
@@ -353,32 +357,27 @@ class ExactSource:
     def fit(self, target: str, context: Sequence[str]) -> ConditionalModel:
         return exact_conditional(self.table, target, context)
 
-    def restrict(self, keep: Iterable[str]) -> ExactSource:
-        keep = set(keep)
-        return ExactSource(self.table.marginal(keep), self._intervened & keep)
-
     def marginal_table(self, names: Sequence[str]) -> DistTable:
         probs = contract([(self.table.names, self.table.probs)], names)
         return DistTable(tuple(self.variable(n) for n in names), probs)
 
     def regenerate(
         self,
-        chain: Sequence[ConditionalModel],
+        inner: SamplingNetwork,
         proposal: DistTable,
         anchor_names: Sequence[str],
-        order: Sequence[str],
-        variables: Mapping[str, Variable],
-        intervened: frozenset[str],
         multiplier: float,
         rng: np.random.Generator,
     ) -> ExactSource:
         # analytic counterpart of sampled regeneration: anchor marginal times
-        # proposal times the chain of exact conditionals
+        # proposal times the models of `inner`
         factors = [(anchor_names, self.marginal_table(anchor_names).probs)] if anchor_names else []
         factors.append((proposal.names, proposal.probs))
-        factors += [(m.context_names + (m.target.name,), m.conditional_table()) for m in chain]
-        table = DistTable(tuple(variables[n] for n in order), contract(factors, order))
-        return ExactSource(table, intervened)
+        order = inner.node_order
+        models = [inner.nodes[n] for n in order if inner.nodes[n] is not None]
+        factors += [(m.context_names + (m.target.name,), m.conditional_table()) for m in models]
+        table = DistTable(tuple(inner.variables[n] for n in order), contract(factors, order))
+        return ExactSource(table, frozenset(inner.empty_nodes()))
 
 
 def _sample_joint(table: DistTable, n: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
@@ -397,7 +396,9 @@ class RecursionState:
 
     `g` is the working graph, `g_hat` the same graph with the accumulated
     partially-applied interventions `x_hat` retained as parentless context
-    nodes; the data source always covers exactly g_hat's variables.
+    nodes. The data source has a column for every variable of g_hat and may
+    have more: fits, anchors and proposals take their names from g_hat, so the
+    other columns are never read.
     """
 
     y: frozenset[str]
@@ -411,8 +412,8 @@ class RecursionState:
         names = set(self.g_hat.names)
         if not self.x_hat <= names:
             raise EngineError("x_hat must be part of g_hat")
-        if set(self.source.columns) != names:
-            raise EngineError("data source columns must match g_hat's variables")
+        if not names <= set(self.source.columns):
+            raise EngineError("data source must have a column for every variable of g_hat")
         if self.g_hat.induced_subgraph(names - self.x_hat) != self.g:
             raise EngineError("g must equal g_hat minus its intervened variables")
 
@@ -434,14 +435,13 @@ class BuildContext:
         return fit_conditional_models(frozenset(state.g.names), frozenset(), state, self)
 
     def s2_narrow(self, state: RecursionState, ancestors: frozenset[str]) -> RecursionState:
-        keep = ancestors | state.x_hat
         return RecursionState(
             state.y,
             state.x & ancestors,
             state.g.induced_subgraph(ancestors),
-            state.source.restrict(keep),
+            state.source,
             state.x_hat,
-            state.g_hat.induced_subgraph(keep),
+            state.g_hat.induced_subgraph(ancestors | state.x_hat),
         )
 
     def s4_combine(self, state: RecursionState, parts: list[SamplingNetwork]) -> SamplingNetwork:
@@ -500,7 +500,7 @@ def fit_conditional_models(
 ) -> SamplingNetwork:
     """Fit one conditional sampler per modelled variable, in topological order of
     the history graph; intervention and history variables become placeholders.
-    Each model's context is every preceding variable available as a data column."""
+    Each model's context is every variable of the history graph before it."""
     g_hat = state.g_hat
     variables: dict[str, Variable] = {}
     nodes: dict[str, ConditionalModel | None] = {}
@@ -509,12 +509,10 @@ def fit_conditional_models(
         nodes[name] = None
     gh_names = set(g_hat.names)
     order = [n for n in ctx.root_order if n in gh_names]
-    cols = set(state.source.columns)
     for pos, name in enumerate(order):
         if name not in y:
             continue
-        context = [u for u in order[:pos] if u in cols]
-        nodes[name] = state.source.fit(name, context)
+        nodes[name] = state.source.fit(name, order[:pos])
         variables[name] = g_hat.variable(name)
     return SamplingNetwork(variables, nodes, ctx.root_order)
 
@@ -538,24 +536,11 @@ def apply_partial_intervention(
         shape = tuple(v.cardinality for v in variables)
         proposal = DistTable(tuple(variables), np.full(shape, 1.0 / math.prod(shape)))
 
-    new_x_hat = state.x_hat | x_z
-    new_cols = new_x_hat | s_prime
-    order = [n for n in ctx.root_order if n in new_cols]
-    variable_map = {n: state.g_hat.variable(n) for n in order}
-    chain = [inner.nodes[n] for n in inner.node_order if n in s_prime]
     anchor_names = sorted(state.x_hat, key=ctx.root_order.index)
-    source = state.source.regenerate(
-        chain,
-        proposal,
-        anchor_names,
-        order,
-        variable_map,
-        frozenset(new_x_hat),
-        ctx.dprime_mult,
-        ctx.rng,
-    )
+    source = state.source.regenerate(inner, proposal, anchor_names, ctx.dprime_mult, ctx.rng)
+    new_x_hat = state.x_hat | x_z
     g_new = state.g.induced_subgraph(s_prime)
-    g_hat_new = state.g_hat.induced_subgraph(new_cols).remove_incoming(new_x_hat)
+    g_hat_new = state.g_hat.induced_subgraph(new_x_hat | s_prime).remove_incoming(new_x_hat)
     return RecursionState(state.y, state.x & s_prime, g_new, source, frozenset(new_x_hat), g_hat_new)
 
 

@@ -215,6 +215,21 @@ class TestIngressErrors:
         }[command]
         assert_input_error(capsys, argv + ["--query", str(frontdoor_files / "bad.txt")], "not an integer")
 
+    # a repeated key line, a name twice in one list
+    @pytest.mark.parametrize("text, fragment", [
+        ("target=R\ndo=X=1,X=0\n", "query line 2: 'X' is listed twice"),
+        ("target=R\ntarget=S\ndo=X=1\n", "query line 2: repeated key 'target'"),
+        ("target=R,R\ndo=X=1\n", "query line 1: 'R' is listed twice"),
+        ("target=R\ndo=X=1\n\ndo=X=0\n", "query line 4: repeated key 'do'"),
+        ("target=R\ngiven=S=0, S=1\ndo=X=1\n", "query line 2: 'S' is listed twice"),
+    ])
+    def test_query_says_a_thing_twice(self, frontdoor_files, capsys, text, fragment):
+        (frontdoor_files / "twice.txt").write_text(text)
+        assert_input_error(capsys, ["sample", "--graph", str(frontdoor_files / "frontdoor.graph"),
+                                    "--query", str(frontdoor_files / "twice.txt"),
+                                    "--scm", str(frontdoor_files / "frontdoor.scm"),
+                                    "--out", str(frontdoor_files / "o")], fragment)
+
     def test_eval_missing_scm(self, frontdoor_files, capsys):
         assert_input_error(capsys, ["eval", "--scm", str(frontdoor_files / "missing.scm"),
                                     "--query", str(frontdoor_files / "query.txt")], "missing.scm")

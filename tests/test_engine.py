@@ -24,7 +24,7 @@ from causalgen.engine import (
     sample_interventional,
 )
 from causalgen.estimands import DistTable
-from causalgen.graphs import GraphError, Variable
+from causalgen.graphs import Admg, GraphError, Variable
 from causalgen.identify import identify_effect
 from causalgen.models import CptModel, Dataset
 from causalgen.scm import (
@@ -459,6 +459,42 @@ class TestBuildNetwork:
             "node Y kind=exact card=2 context=W2,X "
             "table=0.34,0.66;0.66,0.34;0.34,0.66;0.66,0.34\n"
         )
+
+
+def with_extra_variable(g: Admg) -> Admg:
+    """g plus a three-state Z caused by g's last variable, so Z is correlated
+    with the graph's variables but is not one of them."""
+    bidirected = [tuple(pair) for pair in g.bidirected]
+    return Admg([*g.variables, Variable("Z", 3)], [*g.directed, (g.names[-1], "Z")], bidirected)
+
+
+class TestSourceWiderThanGraph:
+    """Columns the graph does not name are never read: a build from a wider
+    source gives the same manifest as one from the source cut to the graph."""
+
+    QUERIES = [
+        (napkin_graph, {"Y"}, {"X"}),
+        (napkin_graph, {"Y"}, {"W1"}),
+        (frontdoor_graph, {"R"}, {"X"}),
+        (zigzag_graph, {"Y"}, {"X"}),
+    ]
+
+    @pytest.mark.parametrize("make, y, x", QUERIES)
+    def test_dataset_with_extra_column(self, make, y, x):
+        g = make()
+        wide = sample_observational(noisy_copy_scm(with_extra_variable(g)), 5000, np.random.default_rng(0))
+        a = build_network(y, x, g, DatasetSource(wide), rng=np.random.default_rng(1))
+        b = build_network(y, x, g, DatasetSource(wide.restrict(g.names)), rng=np.random.default_rng(1))
+        assert "Z" in wide.names and "Z" not in a.network.nodes
+        assert format_network(a.network) == format_network(b.network)
+
+    @pytest.mark.parametrize("make, y, x", QUERIES)
+    def test_exact_joint_with_extra_variable(self, make, y, x):
+        g = make()
+        wide = exact_joint(noisy_copy_scm(with_extra_variable(g)))
+        a = build_network(y, x, g, ExactSource(wide))
+        b = build_network(y, x, g, ExactSource(wide.marginal(g.names)))
+        assert format_network(a.network) == format_network(b.network)
 
 
 class TestConditionalSampler:
