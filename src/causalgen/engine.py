@@ -37,7 +37,6 @@ from .models import (
     CptModel,
     Dataset,
     ExactConditionalModel,
-    UniformModel,
     draw_categorical,
     exact_conditional,
     fit_conditional,
@@ -136,17 +135,14 @@ class SamplingNetwork:
     conditional sampler's network orders its context (the do- and given-
     variables) before its targets instead, since conditioning may run against
     the causal order.
-    `required_inputs` are the placeholders whose values the target distribution
-    actually depends on (the query's surviving do-variables, or a conditional
-    sampler's whole context); the remaining placeholders are history or
-    absorbed variables whose values are irrelevant to the targets and may
-    default to anything.
+    The placeholders are the inputs sampling must fix: the query's surviving
+    do-variables (and a conditional sampler's given-variables); a step-7 inner
+    network also holds history placeholders, which regeneration fills.
     """
 
     variables: dict[str, Variable]
     nodes: dict[str, ConditionalModel | None]
     global_order: tuple[str, ...]
-    required_inputs: frozenset[str] = frozenset()
 
     def __post_init__(self):
         self.validate()
@@ -216,20 +212,18 @@ def ancestral_sample(
     fixed: Mapping[str, int],
     n: int,
     rng: np.random.Generator,
-    fallbacks: Mapping[str, ConditionalModel] | None = None,
     workers: int = 1,
 ) -> Dataset:
     """Evaluate the network in global order, n rows, returning the full joint.
 
-    Every placeholder must be covered by `fixed` or `fallbacks`. Rows are
-    exchangeable, so the work may be split across seeded worker streams.
+    Every placeholder must be fixed: a default would draw a mixture, not an
+    intervention. Rows are exchangeable, so seeded worker streams may split the work.
     """
     if n <= 0:
         raise EngineError("sample count must be positive")
-    fallbacks = fallbacks or {}
-    for name in h.empty_nodes():
-        if name not in fixed and name not in fallbacks:
-            raise EngineError(f"placeholder {name} has no fixed value or fallback sampler")
+    unset = [name for name in h.empty_nodes() if name not in fixed]
+    if unset:
+        raise EngineError(f"sampling must fix the network inputs {unset}")
     for name, value in fixed.items():
         if name not in h.nodes:
             raise EngineError(f"fixed value for non-node {name}")
@@ -242,7 +236,7 @@ def ancestral_sample(
 
     def chunk(size: int, stream: np.random.Generator) -> np.ndarray:
         cols = {name: np.full(size, value, dtype=np.int64) for name, value in fixed.items()}
-        return _draw_nodes(h, cols, size, stream, fallbacks)
+        return _draw_nodes(h, cols, size, stream)
 
     if workers == 1:
         rows = chunk(sizes[0], streams[0])
@@ -259,28 +253,25 @@ def _draw_nodes(
     cols: dict[str, np.ndarray],
     n: int,
     rng: np.random.Generator,
-    fallbacks: Mapping[str, ConditionalModel],
 ) -> np.ndarray:
     """Draw n values of every node that `cols` does not already hold, in node
-    order, from its model (a placeholder from its fallback); return the (n, nodes)
-    rows in node order."""
+    order, from its model; `cols` must hold every placeholder. Return the
+    (n, nodes) rows in node order."""
     for name in h.node_order:
         if name not in cols:
-            model = h.nodes[name]
-            cols[name] = (model if model is not None else fallbacks[name]).sample_n(cols, n, rng)
+            cols[name] = h.nodes[name].sample_n(cols, n, rng)
     return np.column_stack([cols[name] for name in h.node_order])
 
 
 def format_network(h: SamplingNetwork) -> str:
     """Deterministic textual manifest: nodes, model kinds, contexts, payloads."""
-    kinds = {CptModel: "cpt", ExactConditionalModel: "exact", UniformModel: "uniform"}
+    kinds = {CptModel: "cpt", ExactConditionalModel: "exact"}
     lines = ["order " + " ".join(h.node_order)]
     for name in h.node_order:
         model = h.nodes[name]
         card = h.variables[name].cardinality
         if model is None:
-            flag = " required" if name in h.required_inputs else ""
-            lines.append(f"node {name} kind=placeholder card={card}{flag}")
+            lines.append(f"node {name} kind=placeholder card={card}")
             continue
         kind = kinds.get(type(model), "custom")
         parts = [f"node {name} kind={kind} card={card}"]
@@ -331,7 +322,7 @@ class DatasetSource:
         anchor_idx = np.arange(n_new, dtype=np.int64) % self.dataset.n
         cols = {name: self.dataset.column(name)[anchor_idx] for name in anchor_names}
         cols.update(_sample_joint(proposal, n_new, rng))
-        rows = _draw_nodes(inner, cols, n_new, rng, {})
+        rows = _draw_nodes(inner, cols, n_new, rng)
         variables = tuple(inner.variables[name] for name in inner.node_order)
         return DatasetSource(Dataset(variables, rows, frozenset(inner.empty_nodes())))
 
@@ -395,10 +386,10 @@ class RecursionState:
     """One level of the compile recursion.
 
     `g` is the working graph, `g_hat` the same graph with the accumulated
-    partially-applied interventions `x_hat` retained as parentless context
-    nodes. The data source has a column for every variable of g_hat and may
-    have more: fits, anchors and proposals take their names from g_hat, so the
-    other columns are never read.
+    partially-applied interventions `x_hat` kept as context nodes with no parents
+    or bidirected edges (so a model needs only its c-factor context). The source
+    has a column for every variable of g_hat and may have more: fits, anchors
+    and proposals take their names from g_hat, so the other columns are never read.
     """
 
     y: frozenset[str]
@@ -412,6 +403,8 @@ class RecursionState:
         names = set(self.g_hat.names)
         if not self.x_hat <= names:
             raise EngineError("x_hat must be part of g_hat")
+        if any(self.g_hat.parents(n) or any(n in p for p in self.g_hat.bidirected) for n in self.x_hat):
+            raise EngineError("x_hat must have no parents or bidirected edges in g_hat")
         if not names <= set(self.source.columns):
             raise EngineError("data source must have a column for every variable of g_hat")
         if self.g_hat.induced_subgraph(names - self.x_hat) != self.g:
@@ -474,7 +467,8 @@ def build_network(
     dprime_mult: float = 1.0,
     rng: np.random.Generator | None = None,
 ) -> BuildResult:
-    """Compile P(y | do(x)) against the given data source into a sampling network."""
+    """Compile P(y | do(x)) against the given data source into a sampling network
+    whose placeholders are the do-variables that survive the recursion."""
     y, x, _ = check_query(y, x, g)
     if proposal not in ("uniform", "marginal"):
         raise EngineError(f"unknown proposal {proposal!r}")
@@ -491,7 +485,12 @@ def build_network(
         network = run_id(state, ctx)
     except NotIdentifiable as fail:
         return BuildResult(None, fail.hedge, ctx.trace)
-    network.required_inputs = x & frozenset(network.empty_nodes())
+    history = set(network.empty_nodes()) - x
+    stray = sorted(history & {name for name, _ in network.edges()})
+    if stray:
+        raise EngineError(f"models read the placeholders {stray}, which are not do-variables")
+    for name in history:
+        del network.nodes[name], network.variables[name]
     return BuildResult(network, None, ctx.trace)
 
 
@@ -500,7 +499,8 @@ def fit_conditional_models(
 ) -> SamplingNetwork:
     """Fit one conditional sampler per modelled variable, in topological order of
     the history graph; intervention and history variables become placeholders.
-    Each model's context is every variable of the history graph before it."""
+    Each model's context is its `Admg.c_factor_context` in the history graph,
+    which gives the law of conditioning on every variable before it."""
     g_hat = state.g_hat
     variables: dict[str, Variable] = {}
     nodes: dict[str, ConditionalModel | None] = {}
@@ -509,11 +509,10 @@ def fit_conditional_models(
         nodes[name] = None
     gh_names = set(g_hat.names)
     order = [n for n in ctx.root_order if n in gh_names]
-    for pos, name in enumerate(order):
-        if name not in y:
-            continue
-        nodes[name] = state.source.fit(name, order[:pos])
-        variables[name] = g_hat.variable(name)
+    for name in order:
+        if name in y:
+            nodes[name] = state.source.fit(name, g_hat.c_factor_context(order, name))
+            variables[name] = g_hat.variable(name)
     return SamplingNetwork(variables, nodes, ctx.root_order)
 
 
@@ -554,21 +553,13 @@ def sample_interventional(
     rng: np.random.Generator,
     workers: int = 1,
 ) -> Dataset:
-    """Fix the do- and given-values, give leftover placeholders uniform fallback
-    samplers, and ancestrally sample the full joint.
+    """Fix the do- and given-values and ancestrally sample the full joint.
 
     Do-variables the compiler pruned as irrelevant to the targets are not
     network nodes; their values cannot influence the draw and are ignored.
-    Required inputs must all be fixed: defaulting one would draw from a mixture
-    over its values instead of an intervention."""
+    Every placeholder is an input the query must fix."""
     fixed = {name: value for name, value in query.do + query.given if name in h.nodes}
-    unset = h.required_inputs - set(fixed)
-    if unset:
-        raise EngineError(f"query must fix the network inputs {sorted(unset)}")
-    fallbacks = {
-        name: UniformModel(h.variables[name]) for name in h.empty_nodes() if name not in fixed
-    }
-    return ancestral_sample(h, fixed, n, rng, fallbacks=fallbacks, workers=workers)
+    return ancestral_sample(h, fixed, n, rng, workers=workers)
 
 
 # -- conditional interventional queries -------------------------------------------------
@@ -600,11 +591,10 @@ def build_conditional_sampler(
         raise NotIdentifiable(result.hedge)
     network = result.network
 
-    root_order = network.global_order
-    x_names = sorted(x, key=root_order.index)
+    keep = [n for n in network.global_order if n in y | z | x and n in network.nodes]
+    x_names = [n for n in keep if n in x]
     grid = list(itertools.product(*(range(g.variable(n).cardinality) for n in x_names)))
     shard = max(1, math.ceil(n_train / len(grid)))
-    keep = sorted(y | z | x, key=root_order.index)
     shards = []
     for combo in grid:
         fixed = dict(zip(x_names, combo))
@@ -619,4 +609,4 @@ def build_conditional_sampler(
     nodes: dict[str, ConditionalModel | None] = dict.fromkeys(context)
     for i, t in enumerate(targets):
         nodes[t] = fit_conditional(data, t, context + targets[:i])
-    return SamplingNetwork(variables, nodes, tuple(context + targets), frozenset(context))
+    return SamplingNetwork(variables, nodes, tuple(context + targets))

@@ -159,6 +159,21 @@ class Admg:
             components.append(self.sorted_names(comp))
         return components
 
+    def c_factor_context(self, order: Sequence[str], name: str) -> tuple[str, ...]:
+        """The names before `name` in the topological `order` that lie in T or pa(T),
+        T being `name`'s district in the graph induced on `order` up to `name`: all
+        that P(name | everything before it) depends on (Tian & Pearl 2002, Lemma 1)."""
+        self._check_known(name)
+        pos = order.index(name)
+        prefix = set(order[: pos + 1])
+        district, stack = {name}, [name]
+        while stack:
+            new = (self._siblings[stack.pop()] & prefix) - district
+            district |= new
+            stack.extend(new)
+        reach = district.union(*(self._parents[v] for v in district))
+        return tuple(n for n in order[:pos] if n in reach)
+
     def remove_incoming(self, x: Iterable[str]) -> Admg:
         """Mutilate by do(x): drop directed edges into x and bidirected edges at x."""
         x = set(x)

@@ -239,10 +239,10 @@ class Symbolic:
         return SymbolicState(state.y, state.x & s_prime, state.g.induced_subgraph(s_prime), nested)
 
     def _chain(self, state: SymbolicState, members: frozenset[str]) -> list[Estimand]:
-        """P(v_i | v^(i-1)) for each member v_i, preceding variables in topological order."""
-        names = set(state.g.names)
+        """P(v_i | v^(i-1)) for each member v_i, v^(i-1) cut to `Admg.c_factor_context`."""
+        g, names = state.g, set(state.g.names)
         order = [n for n in self.root_order if n in names]
-        return [CondTerm((vi,), tuple(order[:i]), state.ref) for i, vi in enumerate(order) if vi in members]
+        return [CondTerm((vi,), g.c_factor_context(order, vi), state.ref) for vi in order if vi in members]
 
 
 def _run_symbolic(y: frozenset[str], x: frozenset[str], g: Admg) -> IdResult:
@@ -257,9 +257,10 @@ def _run_symbolic(y: frozenset[str], x: frozenset[str], g: Admg) -> IdResult:
 
 def _close_over_free(e: Estimand, query_vars: frozenset[str], g: Admg) -> Estimand:
     """Average out free variables beyond the query's own, weighting by their
-    observational joint. The recursion leaves such variables behind when an
-    absorbed intervention survives into a conditioning context; the estimand's
-    value is constant in them, so this only normalizes the expression's arity."""
+    observational joint. The estimand's value is constant in them, so this only
+    normalizes the expression's arity. They are rare with c-factor contexts, but
+    P(v4 | do(v1,v3)) on V0→V2→V3→V4, V1→V3, V1→V4, V1↔V2, V2↔V4 absorbs V0 at
+    step 3 and keeps it in P(v2 | v0,v1) at step 7."""
     extra = free_variables(e) - query_vars
     if not extra:
         return e

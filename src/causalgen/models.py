@@ -3,8 +3,8 @@
 A conditional model maps a full context assignment to a distribution over one
 target variable; it is the single plug-in seam between the network compiler and
 whatever actually produces samples. The discrete implementations here are
-Laplace-smoothed conditional probability tables fitted from data, exact
-conditionals extracted from a known joint, and context-free uniform samplers.
+Laplace-smoothed conditional probability tables fitted from data and exact
+conditionals extracted from a known joint.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -263,18 +263,6 @@ class ExactConditionalModel(ConditionalModel):
 
     def conditional_table(self) -> np.ndarray:
         return self.table
-
-
-@dataclass(frozen=True)
-class UniformModel(ConditionalModel):
-    """Context-free sampler emitting each target state with equal probability."""
-
-    target: Variable
-    context: tuple[Variable, ...] = field(default=(), init=False)
-
-    def conditional_table(self) -> np.ndarray:
-        k = self.target.cardinality
-        return np.full((k,), 1.0 / k)
 
 
 def fit_conditional(d: Dataset, target: str, context: Sequence[str]) -> CptModel:

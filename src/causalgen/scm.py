@@ -82,18 +82,22 @@ def _is_distribution(probs: np.ndarray) -> bool:
 
 
 def sample_observational(m: DiscreteScm, n: int, rng: np.random.Generator) -> Dataset:
-    """Draw exogenous values independently per row and push through the mechanisms."""
+    """Draw exogenous values independently per row and push through the mechanisms,
+    dropping each noise or latent column once its last variable is computed."""
     if n <= 0:
         raise ScmError("sample count must be positive")
     g = m.graph
     row0 = np.zeros(n, dtype=np.int64)
     noise = {name: draw_categorical(m.noise[name][None], row0, rng) for name in g.names}
     latents = {pair: draw_categorical(m.latents[pair][None], row0, rng) for pair in g.latent_pairs()}
+    order = g.topological_order()
+    last = {pair: max(pair, key=order.index) for pair in latents}
     values: dict[str, np.ndarray] = {}
-    for name in g.topological_order():
-        index = [values[p] for p in g.parents(name)] + [noise[name]]
-        index.extend(latents[p] for p in m.incident_latents(name))
+    for name in order:
+        index = [values[p] for p in g.parents(name)] + [noise.pop(name)]
+        index.extend(latents.pop(p) if last[p] == name else latents[p] for p in m.incident_latents(name))
         values[name] = m.mechanisms[name][tuple(index)]
+        del index  # its noise column, and a latent read for the last time, go now
     rows = np.column_stack([values[name] for name in g.names])
     return Dataset(g.variables, rows)
 

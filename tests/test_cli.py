@@ -7,7 +7,15 @@ import pytest
 from causalgen.cli import main
 from causalgen.graphs import format_graph
 from causalgen.models import read_dataset_csv
-from causalgen.scm import catalog, catalog_entry, write_scm
+from causalgen.scm import (
+    catalog,
+    catalog_entry,
+    empirical_distribution,
+    exact_joint,
+    noisy_copy_scm,
+    tvd,
+    write_scm,
+)
 from conftest import admg, bow_graph
 
 
@@ -149,8 +157,30 @@ class TestSample:
         samples = read_dataset_csv(out.with_suffix(".csv"), out.with_suffix(".sidecar.json"))
         assert samples.names == ("I",) and samples.n == 2000
         manifest = out.with_suffix(".manifest").read_text()
-        assert "node A kind=placeholder card=2 required" in manifest
+        assert "node A kind=placeholder card=2\n" in manifest
         assert "node I kind=cpt card=2 context=A,V " in manifest
+
+    def test_conditional_query_with_pruned_shifted_variable(self, tmp_path, capsys):
+        # C moves into the do-set by rule 2 and step 2 then prunes it, as no
+        # ancestor of B: P(B | C=1) = P(B), and C is no network node
+        g = admg("A B C", [("A", "B")])
+        m = noisy_copy_scm(g)
+        write_scm(m, tmp_path / "g.scm", tmp_path / "g.graph")
+        (tmp_path / "q.txt").write_text("target=B\ngiven=C=1\n")
+        files = ["--graph", str(tmp_path / "g.graph"), "--query", str(tmp_path / "q.txt")]
+        out = tmp_path / "cond"
+        code = main(["sample", *files, "--scm", str(tmp_path / "g.scm"), "--n", "20000", "--out", str(out)])
+        assert code == 0
+        samples = read_dataset_csv(out.with_suffix(".csv"), out.with_suffix(".sidecar.json"))
+        truth = exact_joint(m).marginal(["B"])
+        assert tvd(empirical_distribution(samples, ["B"]), truth) <= 0.03
+        assert "node C" not in out.with_suffix(".manifest").read_text()
+        capsys.readouterr()
+        code = main(["eval", "--scm", str(tmp_path / "g.scm"), "--query", str(tmp_path / "q.txt"),
+                     "--n", "20000", "--obs-n", "20000"])
+        row = capsys.readouterr().out.splitlines()[-1]
+        assert code == 0
+        assert all(float(col) <= 0.03 for col in row.split("|")[-3:-1]), row
 
     def test_hedge_exits_2(self, tmp_path, capsys):
         from causalgen.scm import catalog_entry as entry

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -23,11 +25,12 @@ from causalgen.engine import (
     format_query,
     sample_interventional,
 )
-from causalgen.estimands import DistTable
+from causalgen.estimands import DistTable, contract
 from causalgen.graphs import Admg, GraphError, Variable
-from causalgen.identify import identify_effect
+from causalgen.identify import identify_effect, maximal_rule2_shift
 from causalgen.models import CptModel, Dataset
 from causalgen.scm import (
+    catalog,
     empirical_distribution,
     exact_joint,
     exact_interventional,
@@ -88,11 +91,12 @@ class TestFitConditionalModels:
         assert contexts(h) == {"A": (), "B": ("A",)}
 
     def test_napkin_base_case_shape(self):
-        # the base case reached by the napkin recursion: placeholders for the
-        # remaining intervention and the intervened history, one model for Y
+        # the base case reached by the napkin recursion: a placeholder for the
+        # remaining intervention and one model for Y, whose c-factor context is
+        # its parent X alone; the intervened history W2 is read by no model
         g = napkin_graph()
         res = build_network({"Y"}, {"X"}, g, exact_source(g), rng=np.random.default_rng(0))
-        assert contexts(res.network) == {"W2": None, "X": None, "Y": ("W2", "X")}
+        assert contexts(res.network) == {"X": None, "Y": ("X",)}
 
     def test_single_source_target(self):
         g = chain_graph()
@@ -288,7 +292,7 @@ class TestBuildNetwork:
         assert got["W1"] is None
         assert got["W2"] == ("W1",)
         assert got["X"] == ("W2",)
-        assert got["Y"] == ("W2", "X")
+        assert got["Y"] == ("X",)
 
     def test_bow_returns_hedge(self):
         g = bow_graph()
@@ -420,10 +424,26 @@ class TestBuildNetwork:
         # fixing only part of the do-set would sample a mixture, not an intervention
         g = admg("A B C", [("A", "C"), ("B", "C")])
         res = build_network({"C"}, {"A", "B"}, g, exact_source(g))
-        assert res.network.required_inputs == {"A", "B"}
+        assert set(res.network.empty_nodes()) == {"A", "B"}
         with pytest.raises(EngineError, match="must fix"):
             sample_interventional(res.network, QuerySpec(("C",), (("A", 1),)), 10,
                                   np.random.default_rng(0))
+
+    def test_model_reading_a_history_placeholder_rejected(self, monkeypatch):
+        # with every earlier variable as context, napkin's Y reads the
+        # regenerated W2, which is no do-variable
+        full = lambda self, order, name: tuple(order[: order.index(name)])
+        monkeypatch.setattr(Admg, "c_factor_context", full)
+        g = napkin_graph()
+        with pytest.raises(EngineError, match=r"\['W2'\].*not do-variables"):
+            build_network({"Y"}, {"X"}, g, exact_source(g))
+
+    def test_state_rejects_history_with_parents_or_confounders(self):
+        g = frontdoor_graph()  # X -> S -> R, X <-> R
+        for x_hat in ({"X"}, {"S"}):
+            rest = g.induced_subgraph(set(g.names) - x_hat)
+            with pytest.raises(EngineError, match="x_hat must have no parents"):
+                RecursionState(frozenset({"R"}), frozenset(), rest, exact_source(g), frozenset(x_hat), g)
 
     def test_rejects_bad_arguments(self):
         g = chain_graph()
@@ -450,15 +470,65 @@ class TestBuildNetwork:
     def test_manifest_golden_napkin_exact(self):
         g = napkin_graph()
         res = build_network({"Y"}, {"X"}, g, exact_source(g), rng=np.random.default_rng(0))
-        # the fitted conditional is exactly independent of the regenerated W2,
-        # which is what makes any fallback value for it valid at sampling time
+        # Y's c-factor context leaves out the regenerated W2, so W2 is no input
         assert format_network(res.network) == (
-            "order W2 X Y\n"
-            "node W2 kind=placeholder card=2\n"
-            "node X kind=placeholder card=2 required\n"
-            "node Y kind=exact card=2 context=W2,X "
-            "table=0.34,0.66;0.66,0.34;0.34,0.66;0.66,0.34\n"
+            "order X Y\n"
+            "node X kind=placeholder card=2\n"
+            "node Y kind=exact card=2 context=X table=0.34,0.66;0.66,0.34\n"
         )
+
+
+def network_law(h: SamplingNetwork, do: dict[str, int], keep) -> np.ndarray:
+    """P(keep) under the network: every model's conditional table, with each
+    placeholder a point mass at its do-value, contracted over the rest."""
+    factors = [((n,), np.eye(h.variables[n].cardinality)[do[n]]) for n in h.empty_nodes()]
+    factors += [(m.context_names + (m.target.name,), m.conditional_table())
+                for m in h.nodes.values() if m is not None]
+    return contract(factors, keep)
+
+
+def worst_law_error(m, y, x, seed=0) -> float:
+    """Largest deviation of the exact-source network's law from the oracle's
+    P(y | do(x)), over every do-configuration."""
+    built = build_network(y, x, m.graph, ExactSource(exact_joint(m)), rng=np.random.default_rng(seed))
+    worst = 0.0
+    for combo in itertools.product(*(range(m.graph.variable(n).cardinality) for n in sorted(x))):
+        do = dict(zip(sorted(x), combo))
+        truth = exact_interventional(m, do).marginal(y)
+        worst = max(worst, float(np.abs(network_law(built.network, do, truth.names) - truth.probs).max()))
+    return worst
+
+
+class TestExactNetworkLaw:
+    """With exact conditionals, the network's law is P(y | do(x)) up to
+    rounding: reduced contexts lose nothing."""
+
+    def test_catalog(self):
+        for entry in catalog():
+            for q in entry.queries:
+                if q.identifiable:
+                    g = entry.scm.graph
+                    x, z = maximal_rule2_shift(
+                        frozenset(q.targets), frozenset(q.do), frozenset(q.given), g
+                    )
+                    assert worst_law_error(entry.scm, frozenset(q.targets) | z, x) < 1e-12, entry.name
+
+    def test_random_identifiable_graphs(self):
+        rng = np.random.default_rng(2026)
+        checked = mixed = 0
+        while checked < 240:
+            g = random_admg(rng, max_nodes=7)
+            if rng.random() < 0.4:
+                cards = rng.integers(2, 4, size=len(g.names))
+                variables = [Variable(n, int(c)) for n, c in zip(g.names, cards)]
+                g = Admg(variables, g.directed, [tuple(p) for p in g.bidirected])
+            y, x = random_query(rng, g, allow_empty_x=False)
+            if not identify_effect(y, x, g).identifiable:
+                continue
+            mixed += any(v.cardinality > 2 for v in g.variables)
+            assert worst_law_error(noisy_copy_scm(g), y, x, seed=checked) < 1e-12
+            checked += 1
+        assert mixed >= 50
 
 
 def with_extra_variable(g: Admg) -> Admg:
@@ -512,7 +582,7 @@ class TestConditionalSampler:
             n_train=100_000, rng=np.random.default_rng(0),
         )
         assert sampler.nodes["C"].context_names == ("A", "B")
-        assert sampler.required_inputs == {"A", "B"}
+        assert set(sampler.empty_nodes()) == {"A", "B"}
         pbc = joint.marginal(["B", "C"])
         cond = pbc.probs / pbc.probs.sum(axis=1, keepdims=True)
         rng = np.random.default_rng(1)

@@ -82,6 +82,35 @@ class TestCComponents:
             assert len(set(flat)) == len(flat)
 
 
+class TestCFactorContext:
+    def test_chain_reads_parents_only(self):
+        g = chain_graph()
+        order = g.topological_order()
+        assert [g.c_factor_context(order, n) for n in order] == [(), ("A",), ("B",)]
+
+    def test_napkin_history_graph(self):
+        # the napkin's base case: W2 intervened (no parents, no bidirected
+        # edges), so Y's district is Y alone and W2 is not read
+        g = napkin_graph().induced_subgraph({"W2", "X", "Y"}).remove_incoming({"W2"})
+        assert g.c_factor_context(["W2", "X", "Y"], "Y") == ("X",)
+        full = napkin_graph()
+        assert full.c_factor_context(["W1", "W2", "X", "Y"], "Y") == ("W1", "W2", "X")
+
+    def test_later_sibling_left_out(self):
+        g = admg("A B C", [("A", "C")], [("B", "C")])
+        assert g.c_factor_context(["A", "B", "C"], "B") == ()
+        assert g.c_factor_context(["A", "B", "C"], "C") == ("A", "B")
+
+    def test_parents_of_every_district_member(self):
+        g = admg("P X Q Y", [("P", "X"), ("Q", "Y"), ("X", "Y")], [("X", "Y")])
+        assert g.c_factor_context(["P", "X", "Q", "Y"], "Y") == ("P", "X", "Q")
+
+    def test_result_follows_the_given_order(self):
+        g = admg("A B C", [], [("A", "C"), ("B", "C")])
+        assert g.c_factor_context(["B", "A", "C"], "C") == ("B", "A")
+        assert g.c_factor_context(["A", "B", "C"], "C") == ("A", "B")
+
+
 class TestMutilation:
     def test_remove_incoming_strips_parents_and_confounders(self):
         g = admg("A B V I", [("A", "V"), ("B", "V"), ("V", "I")], [("B", "I"), ("A", "V")])

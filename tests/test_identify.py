@@ -135,9 +135,9 @@ class TestUnconditional:
         result = identify_effect(("W1", "W2", "W3", "W4", "X"), ("R",), entry.scm.graph)
         assert format_estimand(result.estimand) == (
             "P(w3) P(w2|w3,r) P(w4|w3)"
-            " · Σ_{r'} P(r'|w3,w4) P(w1|w3,w4,r',w2)"
-            " · [Σ_{r'} P(r'|w3,w4) P(w1|w3,w4,r',w2) P(x|w3,w4,r',w2,w1)]"
-            " / [Σ_{r',x'} P(r'|w3,w4) P(w1|w3,w4,r',w2) P(x'|w3,w4,r',w2,w1)]"
+            " · Σ_{r'} P(r') P(w1|w4,r',w2)"
+            " · [Σ_{r'} P(r') P(w1|w4,r',w2) P(x|w4,r',w2,w1)]"
+            " / [Σ_{r',x'} P(r') P(w1|w4,r',w2) P(x'|w4,r',w2,w1)]"
         )
 
     def test_rejects_overlap_and_empty_targets(self):

@@ -9,7 +9,6 @@ from causalgen.models import (
     DataError,
     Dataset,
     ExactConditionalModel,
-    UniformModel,
     draw_categorical,
     exact_conditional,
     fit_conditional,
@@ -147,23 +146,6 @@ class TestDrawCategorical:
         drawn = draw_categorical(table, rows, np.random.default_rng(7))
         assert drawn.dtype == np.int64
         assert np.array_equal(drawn, expected)
-
-
-class TestUniformModel:
-    def test_binary_frequencies(self):
-        m = UniformModel(Variable("Y", 2))
-        draws = m.sample_n({}, 10_000, np.random.default_rng(4))
-        assert abs(draws.mean() - 0.5) < 0.01
-
-    def test_three_state_frequencies(self):
-        m = UniformModel(Variable("Y", 3))
-        draws = m.sample_n({}, 30_000, np.random.default_rng(5))
-        for state in range(3):
-            assert abs((draws == state).mean() - 1 / 3) < 0.01
-
-    def test_range_contract(self):
-        m = UniformModel(Variable("Y", 5))
-        assert 0 <= m.sample({}, np.random.default_rng(6)) < 5
 
 
 class TestExactConditional:
