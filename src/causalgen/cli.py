@@ -32,10 +32,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (GraphError, DataError, scm.ScmError, engine.EngineError) as exc:
+    except (InputError, GraphError, DataError, scm.ScmError, engine.EngineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
@@ -89,8 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_graph(path: str) -> Admg:
     try:
         return parse_graph(Path(path).read_text())
-    except OSError as exc:
-        raise InputError(str(exc)) from None
     except GraphError as exc:
         raise InputError(f"{path}: {exc}") from None
 
@@ -100,17 +95,8 @@ def _load_query(path: str, g: Admg) -> engine.QuerySpec:
         q = engine.parse_query(Path(path).read_text())
         q.validate(g)
         return q
-    except OSError as exc:
-        raise InputError(str(exc)) from None
     except GraphError as exc:
         raise InputError(f"{path}: {exc}") from None
-
-
-def _load_scm(path: str) -> scm.DiscreteScm:
-    try:
-        return scm.read_scm(path)
-    except OSError as exc:
-        raise InputError(str(exc)) from None
 
 
 def _print_hedge(hedge, trace):
@@ -143,10 +129,7 @@ def _load_source(args, g: Admg):
         raise InputError("provide exactly one of --data or --scm")
     if args.data:
         sidecar = Path(args.data).with_suffix(".sidecar.json")
-        try:
-            data = read_dataset_csv(args.data, sidecar if sidecar.exists() else None)
-        except OSError as exc:
-            raise InputError(str(exc)) from None
+        data = read_dataset_csv(args.data, sidecar if sidecar.exists() else None)
         if set(data.names) != set(g.names):
             raise InputError("dataset columns do not match the graph's variables")
         for v in data.variables:
@@ -156,7 +139,7 @@ def _load_source(args, g: Admg):
                     f"the graph says {g.variable(v.name).cardinality}"
                 )
         return engine.DatasetSource(data)
-    model = _load_scm(args.scm)
+    model = scm.read_scm(args.scm)
     if model.graph != g:
         raise InputError("scm graph does not match --graph")
     return engine.ExactSource(scm.exact_joint(model))
@@ -172,7 +155,7 @@ def cmd_sample(args) -> int:
     options = dict(proposal=args.proposal, dprime_mult=args.dprime_mult, rng=rng)
     if q.given:
         try:
-            network = engine.build_conditional_sampler(q, g, source, n_train=max(args.n, 10_000), **options)
+            network = engine.build_conditional_sampler(q, g, source, **options)
         except identify.NotIdentifiable as fail:
             _print_hedge(fail.hedge, [])
             return EXIT_HEDGE
@@ -223,7 +206,7 @@ def _worst_tvd(g: Admg, query: scm.CatalogQuery, source, truth, args, rng) -> fl
         spec = engine.QuerySpec(
             query.targets, tuple((n, 0) for n in query.do), tuple((n, 0) for n in query.given)
         )
-        network = engine.build_conditional_sampler(spec, g, source, n_train=args.n, **options)
+        network = engine.build_conditional_sampler(spec, g, source, **options)
     else:
         y, x = frozenset(query.targets), frozenset(query.do)
         network = engine.build_network(y, x, g, source, **options).network
@@ -253,7 +236,7 @@ def cmd_eval(args) -> int:
             for query in entry.queries:
                 rows.append(_eval_one(entry, query, args, rng))
     elif args.scm and args.query:
-        model = _load_scm(args.scm)
+        model = scm.read_scm(args.scm)
         q = _load_query(args.query, model.graph)
         do_names = tuple(n for n, _ in q.do)
         given_names = tuple(n for n, _ in q.given)
@@ -275,7 +258,7 @@ def cmd_eval(args) -> int:
 def cmd_gen_data(args) -> int:
     if args.n <= 0:
         raise InputError("--n must be positive")
-    model = _load_scm(args.scm)
+    model = scm.read_scm(args.scm)
     rng = np.random.default_rng(args.seed)
     data = scm.sample_observational(model, args.n, rng)
     out = Path(args.out)

@@ -21,8 +21,8 @@ graph's names are read.
 
 from __future__ import annotations
 
-import itertools
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -217,10 +217,14 @@ def ancestral_sample(
     """Evaluate the network in global order, n rows, returning the full joint.
 
     Every placeholder must be fixed: a default would draw a mixture, not an
-    intervention. Rows are exchangeable, so seeded worker streams may split the work.
+    intervention. Rows are exchangeable, so `workers` seeded streams split the
+    work into as many chunks, and the rows depend on `workers` alone; at most
+    one thread per CPU draws the chunks.
     """
     if n <= 0:
         raise EngineError("sample count must be positive")
+    if workers < 1:
+        raise EngineError(f"workers must be at least 1, got {workers}")
     unset = [name for name in h.empty_nodes() if name not in fixed]
     if unset:
         raise EngineError(f"sampling must fix the network inputs {unset}")
@@ -230,7 +234,7 @@ def ancestral_sample(
         if not 0 <= value < h.variables[name].cardinality:
             raise EngineError(f"fixed value {value} out of range for {name}")
 
-    workers = max(1, min(workers, n))
+    workers = min(workers, n)
     sizes = [n // workers + (1 if i < n % workers else 0) for i in range(workers)]
     streams = rng.spawn(workers)
 
@@ -241,7 +245,7 @@ def ancestral_sample(
     if workers == 1:
         rows = chunk(sizes[0], streams[0])
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
             pieces = list(pool.map(chunk, sizes, streams))
         rows = np.vstack(pieces)
     variables = tuple(h.variables[name] for name in h.node_order)
@@ -372,6 +376,8 @@ class ExactSource:
 
 
 def _sample_joint(table: DistTable, n: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    if not table.variables:  # a proposal over no variables fixes nothing
+        return {}
     flat = draw_categorical(table.probs.reshape(1, -1), np.zeros(n, dtype=np.int64), rng)
     idx = np.unravel_index(flat, table.probs.shape)
     # contiguous copies: the unravelled columns are strided views of one (n, ndim) block
@@ -528,19 +534,26 @@ def apply_partial_intervention(
     inner = fit_conditional_models(s_prime, x_z, state, ctx)
 
     x_z_names = sorted(x_z, key=ctx.root_order.index)
-    if ctx.proposal == "marginal":
-        proposal = state.source.marginal_table(x_z_names)
-    else:
-        variables = [state.g_hat.variable(n) for n in x_z_names]
-        shape = tuple(v.cardinality for v in variables)
-        proposal = DistTable(tuple(variables), np.full(shape, 1.0 / math.prod(shape)))
-
+    proposal = proposal_table(ctx.proposal, x_z_names, state.g_hat, state.source)
     anchor_names = sorted(state.x_hat, key=ctx.root_order.index)
     source = state.source.regenerate(inner, proposal, anchor_names, ctx.dprime_mult, ctx.rng)
     new_x_hat = state.x_hat | x_z
     g_new = state.g.induced_subgraph(s_prime)
     g_hat_new = state.g_hat.induced_subgraph(new_x_hat | s_prime).remove_incoming(new_x_hat)
     return RecursionState(state.y, state.x & s_prime, g_new, source, frozenset(new_x_hat), g_hat_new)
+
+
+def proposal_table(
+    proposal: str, names: Sequence[str], g: Admg, source: DatasetSource | ExactSource
+) -> DistTable:
+    """The law regeneration draws newly intervened variables from: `uniform`
+    over their joint states, or `marginal`, the source's (smoothed) joint of
+    their columns. Over no names it is the empty table, which fixes nothing."""
+    if proposal == "marginal":
+        return source.marginal_table(names)
+    variables = tuple(g.variable(n) for n in names)
+    shape = tuple(v.cardinality for v in variables)
+    return DistTable(variables, np.full(shape, 1.0 / math.prod(shape)))
 
 
 # -- sampling a finished network ------------------------------------------------------
@@ -569,15 +582,17 @@ def build_conditional_sampler(
     query: QuerySpec,
     g: Admg,
     source: DatasetSource | ExactSource,
-    n_train: int = 200_000,
     proposal: str = "uniform",
     dprime_mult: float = 1.0,
     rng: np.random.Generator | None = None,
 ) -> SamplingNetwork:
     """Network sampling P(y | do(x), z): shift the maximal rule-2 subset of z
-    into the do-set, compile and sample the joint network over a full grid of
-    intervention values, then fit each target on the do- and given-variables
-    and the targets before it. `sample_interventional` draws from it with the
+    into the do-set, compile the network for P(y, z | do(x)), and regenerate the
+    source through it as step 7 does, its inputs (the surviving do-variables)
+    drawn from `proposal_table` and `dprime_mult` times the source's rows. Each
+    target is then fitted on the regenerated source, given the do- and
+    given-variables and the targets before it; an `ExactSource` thus yields
+    exact conditionals. `sample_interventional` draws from the result with the
     query's do- and given-values fixed."""
     if not query.given:
         raise GraphError("conditional sampler requires a non-empty conditioning set")
@@ -590,23 +605,13 @@ def build_conditional_sampler(
     if result.hedge is not None:
         raise NotIdentifiable(result.hedge)
     network = result.network
+    inputs = proposal_table(proposal, network.empty_nodes(), g, source)
+    train = source.regenerate(network, inputs, (), dprime_mult, rng)
 
-    keep = [n for n in network.global_order if n in y | z | x and n in network.nodes]
-    x_names = [n for n in keep if n in x]
-    grid = list(itertools.product(*(range(g.variable(n).cardinality) for n in x_names)))
-    shard = max(1, math.ceil(n_train / len(grid)))
-    shards = []
-    for combo in grid:
-        fixed = dict(zip(x_names, combo))
-        probe = QuerySpec(tuple(n for n in keep if n not in fixed), tuple(fixed.items()))
-        joint = sample_interventional(network, probe, shard, rng)
-        shards.append(joint.restrict(keep).rows)
-    variables = {n: g.variable(n) for n in keep}
-    data = Dataset(tuple(variables.values()), np.vstack(shards), frozenset(x_names))
-
+    keep = [n for n in network.node_order if n in y | z | x]
     context = [n for n in keep if n not in y]
     targets = [n for n in keep if n in y]
     nodes: dict[str, ConditionalModel | None] = dict.fromkeys(context)
     for i, t in enumerate(targets):
-        nodes[t] = fit_conditional(data, t, context + targets[:i])
-    return SamplingNetwork(variables, nodes, tuple(context + targets))
+        nodes[t] = train.fit(t, context + targets[:i])
+    return SamplingNetwork({n: g.variable(n) for n in keep}, nodes, tuple(context + targets))

@@ -227,7 +227,8 @@ def _check_table(model: CptModel | ExactConditionalModel) -> None:
     expected = tuple(v.cardinality for v in model.context) + (model.target.cardinality,)
     if model.table.shape != expected:
         raise DataError(f"table shape {model.table.shape} != {expected}")
-    if not np.allclose(model.table.sum(axis=-1), 1.0, atol=1e-9):
+    # the negated test also rejects a NaN sum
+    if not np.abs(model.table.sum(axis=-1) - 1.0).max() <= 1e-9:
         raise DataError("conditional rows must sum to 1")
 
 

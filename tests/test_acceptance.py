@@ -243,7 +243,7 @@ def test_c7_conditional_queries():
     data = sample_observational(entry.scm, N_OBS, np.random.default_rng(70))
     sampler = build_conditional_sampler(
         QuerySpec(("I",), (("V", 0),), (("A", 0),)), g, DatasetSource(data),
-        n_train=N_SAMPLES, rng=np.random.default_rng(71),
+        rng=np.random.default_rng(71),
     )
     table = evaluate_estimand(identify_conditional_effect({"I"}, {"V"}, {"A"}, g).estimand, joint)
     rng = np.random.default_rng(72)
@@ -260,7 +260,7 @@ def test_c7_conditional_queries():
     cdata = sample_observational(cm, N_OBS, np.random.default_rng(73))
     csampler = build_conditional_sampler(
         QuerySpec(("C",), (("A", 0),), (("B", 0),)), cg, DatasetSource(cdata),
-        n_train=N_SAMPLES, rng=np.random.default_rng(74),
+        rng=np.random.default_rng(74),
     )
     ctable = evaluate_estimand(identify_conditional_effect({"C"}, {"A"}, {"B"}, cg).estimand, cjoint)
     for a in range(2):

@@ -158,7 +158,7 @@ class TestSample:
         assert samples.names == ("I",) and samples.n == 2000
         manifest = out.with_suffix(".manifest").read_text()
         assert "node A kind=placeholder card=2\n" in manifest
-        assert "node I kind=cpt card=2 context=A,V " in manifest
+        assert "node I kind=exact card=2 context=A,V " in manifest
 
     def test_conditional_query_with_pruned_shifted_variable(self, tmp_path, capsys):
         # C moves into the do-set by rule 2 and step 2 then prunes it, as no
@@ -306,6 +306,22 @@ class TestIngressErrors:
                                     "--query", str(frontdoor_files / "query.txt"),
                                     "--scm", str(frontdoor_files / "frontdoor.scm"),
                                     "--dprime-mult", mult, "--out", str(frontdoor_files / "o")], "dprime_mult")
+
+    def test_sample_zero_workers(self, frontdoor_files, capsys):
+        assert_input_error(capsys, ["sample", "--graph", str(frontdoor_files / "frontdoor.graph"),
+                                    "--query", str(frontdoor_files / "query.txt"),
+                                    "--scm", str(frontdoor_files / "frontdoor.scm"),
+                                    "--workers", "0", "--out", str(frontdoor_files / "o")], "workers")
+
+    def test_sample_out_in_missing_directory(self, frontdoor_files, capsys):
+        assert_input_error(capsys, ["sample", "--graph", str(frontdoor_files / "frontdoor.graph"),
+                                    "--query", str(frontdoor_files / "query.txt"),
+                                    "--scm", str(frontdoor_files / "frontdoor.scm"), "--n", "10",
+                                    "--out", str(frontdoor_files / "no" / "such" / "o")], "No such file")
+
+    def test_gen_data_out_in_missing_directory(self, frontdoor_files, capsys):
+        assert_input_error(capsys, ["gen-data", "--scm", str(frontdoor_files / "frontdoor.scm"), "--n", "10",
+                                    "--out", str(frontdoor_files / "no" / "such" / "x.csv")], "No such file")
 
     def test_sample_data_cardinality_mismatch(self, tmp_path, capsys):
         # S has 3 states in the graph, but the csv (no sidecar) only shows 0 and 1

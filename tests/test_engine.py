@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import itertools
+import os
 
 import numpy as np
 import pytest
 
+from causalgen import engine
 from causalgen.engine import (
     BuildContext,
     DatasetSource,
@@ -25,12 +27,13 @@ from causalgen.engine import (
     format_query,
     sample_interventional,
 )
-from causalgen.estimands import DistTable, contract
+from causalgen.estimands import DistTable, contract, evaluate_estimand
 from causalgen.graphs import Admg, GraphError, Variable
-from causalgen.identify import identify_effect, maximal_rule2_shift
-from causalgen.models import CptModel, Dataset
+from causalgen.identify import identify_conditional_effect, identify_effect, maximal_rule2_shift
+from causalgen.models import CptModel, Dataset, ExactConditionalModel
 from causalgen.scm import (
     catalog,
+    catalog_entry,
     empirical_distribution,
     exact_joint,
     exact_interventional,
@@ -263,6 +266,42 @@ class TestAncestralSampling:
         a = ancestral_sample(res.network, {"X": 0}, 999, np.random.default_rng(5), workers=3)
         b = ancestral_sample(res.network, {"X": 0}, 999, np.random.default_rng(5), workers=3)
         assert np.array_equal(a.rows, b.rows)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_rejects_fewer_than_one_worker(self, workers):
+        g = frontdoor_graph()
+        res = build_network({"R"}, {"X"}, g, exact_source(g))
+        with pytest.raises(EngineError, match="workers"):
+            ancestral_sample(res.network, {"X": 0}, 10, np.random.default_rng(0), workers=workers)
+
+    def test_pool_has_at_most_one_thread_per_cpu(self, monkeypatch):
+        # a serial stand-in records the pool size, so no thread is started
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        g = frontdoor_graph()
+        net = build_network({"R"}, {"X"}, g, exact_source(g)).network
+        threaded = ancestral_sample(net, {"X": 0}, 999, np.random.default_rng(5), workers=3)
+        monkeypatch.setattr(engine, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        serial = ancestral_sample(net, {"X": 0}, 999, np.random.default_rng(5), workers=3)
+        assert np.array_equal(serial.rows, threaded.rows)  # the rows follow the stream count
+        ancestral_sample(net, {"X": 0}, 2000, np.random.default_rng(5), workers=1000)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        ancestral_sample(net, {"X": 0}, 10, np.random.default_rng(5), workers=4)
+        assert sizes == [2, 2, 1]
 
 
 class TestProjectTargets:
@@ -579,7 +618,7 @@ class TestConditionalSampler:
         joint = exact_joint(m)
         sampler = build_conditional_sampler(
             QuerySpec(("C",), (("A", 0),), (("B", 0),)), g, ExactSource(joint),
-            n_train=100_000, rng=np.random.default_rng(0),
+            rng=np.random.default_rng(0),
         )
         assert sampler.nodes["C"].context_names == ("A", "B")
         assert set(sampler.empty_nodes()) == {"A", "B"}
@@ -608,7 +647,7 @@ class TestConditionalSampler:
         joint = exact_joint(m)
         sampler = build_conditional_sampler(
             QuerySpec(("C", "D"), (("A", 0),), (("B", 0),)), g, ExactSource(joint),
-            n_train=120_000, rng=np.random.default_rng(0),
+            rng=np.random.default_rng(0),
         )
         # in the chain, P(c,d | do(a), b) = P(c,d | b)
         pbcd = joint.marginal(["B", "C", "D"])
@@ -620,3 +659,59 @@ class TestConditionalSampler:
             emp = empirical_distribution(draws, ["C", "D"])
             truth = DistTable((g.variable("C"), g.variable("D")), cond[b])
             assert tvd(emp, truth) < 0.02
+
+    @pytest.mark.parametrize(
+        "scm_of, targets, do, given",
+        [
+            (lambda: catalog_entry("backdoor").scm, ("I",), ("V",), ("A",)),
+            (lambda: noisy_copy_scm(chain_graph()), ("C",), ("A",), ("B",)),
+            (
+                lambda: noisy_copy_scm(admg("A B C D", [("A", "B"), ("B", "C"), ("C", "D")])),
+                ("C", "D"),
+                ("A",),
+                ("B",),
+            ),
+        ],
+    )
+    def test_exact_source_gives_exact_conditionals(self, scm_of, targets, do, given):
+        m = scm_of()
+        g, joint = m.graph, exact_joint(m)
+        query = QuerySpec(targets, tuple((n, 0) for n in do), tuple((n, 0) for n in given))
+        sampler = build_conditional_sampler(query, g, ExactSource(joint), rng=np.random.default_rng(0))
+        truth = evaluate_estimand(identify_conditional_effect(targets, do, given, g).estimand, joint)
+        inputs = sampler.empty_nodes()
+        modelled = [n for n in sampler.node_order if n not in inputs]
+        models = [sampler.nodes[n] for n in modelled]
+        assert all(isinstance(model, ExactConditionalModel) for model in models)
+        law = contract(
+            [(mo.context_names + (mo.target.name,), mo.conditional_table()) for mo in models],
+            inputs + modelled,
+        )
+        names = do + given
+        for combo in itertools.product(*(range(g.variable(n).cardinality) for n in names)):
+            fixed = dict(zip(names, combo))
+            expected = truth.fix({n: v for n, v in fixed.items() if n in truth.names})
+            expected = np.transpose(expected.probs, [expected.names.index(n) for n in modelled])
+            got = law[tuple(fixed[n] for n in inputs)]
+            assert np.abs(got - expected).max() < 1e-12, fixed
+
+    def test_marginal_proposal_dataset_source(self):
+        entry = catalog_entry("backdoor")
+        g = entry.scm.graph
+        data = sample_observational(entry.scm, 200_000, np.random.default_rng(70))
+        sampler = build_conditional_sampler(
+            QuerySpec(("I",), (("V", 0),), (("A", 0),)), g, DatasetSource(data),
+            proposal="marginal", rng=np.random.default_rng(71),
+        )
+        table = evaluate_estimand(
+            identify_conditional_effect({"I"}, {"V"}, {"A"}, g).estimand, exact_joint(entry.scm)
+        )
+        rng = np.random.default_rng(72)
+        worst = 0.0
+        for v in range(2):
+            for a in range(2):
+                query = QuerySpec(("I",), (("V", v),), (("A", a),))
+                draws = sample_interventional(sampler, query, 100_000, rng)
+                emp = empirical_distribution(draws, ["I"])
+                worst = max(worst, tvd(emp, table.fix({"V": v, "A": a})))
+        assert worst <= 0.03  # the bound of acceptance criterion C7

@@ -169,7 +169,13 @@ class TestExactConditional:
                 assert np.abs(cond.table[x, s] - expected).max() < 1e-12
 
     @pytest.mark.parametrize(
-        "table", [np.full((3, 2), 0.5), np.array([[0.5, 0.4], [0.5, 0.5]]), np.array([[1.5, -0.5], [0.5, 0.5]])]
+        "table",
+        [
+            np.full((3, 2), 0.5),
+            np.array([[0.5, 0.4], [0.5, 0.5]]),
+            np.array([[1.5, -0.5], [0.5, 0.5]]),
+            np.array([[0.5, 0.5], [np.nan, 0.5]]),  # a NaN sum is no sum of 1
+        ],
     )
     def test_rejects_bad_table(self, table):
         with pytest.raises(DataError):
