@@ -38,6 +38,7 @@ from .models import (
     Dataset,
     ExactConditionalModel,
     draw_categorical,
+    empty_rows,
     exact_conditional,
     fit_conditional,
 )
@@ -219,7 +220,7 @@ def ancestral_sample(
     Every placeholder must be fixed: a default would draw a mixture, not an
     intervention. Rows are exchangeable, so `workers` seeded streams split the
     work into as many chunks, and the rows depend on `workers` alone; at most
-    one thread per CPU draws the chunks.
+    one thread per CPU draws the chunks, each into its own rows of one block.
     """
     if n <= 0:
         raise EngineError("sample count must be positive")
@@ -235,36 +236,39 @@ def ancestral_sample(
             raise EngineError(f"fixed value {value} out of range for {name}")
 
     workers = min(workers, n)
-    sizes = [n // workers + (1 if i < n % workers else 0) for i in range(workers)]
+    size, extra = divmod(n, workers)
+    bounds = [i * size + min(i, extra) for i in range(workers + 1)]  # the first `extra` chunks get a row more
     streams = rng.spawn(workers)
+    variables = tuple(h.variables[name] for name in h.node_order)
+    rows = empty_rows(variables, n)
+    cols = _node_columns(h, rows)
+    for name, value in fixed.items():
+        cols[name][:] = value
 
-    def chunk(size: int, stream: np.random.Generator) -> np.ndarray:
-        cols = {name: np.full(size, value, dtype=np.int64) for name, value in fixed.items()}
-        return _draw_nodes(h, cols, size, stream)
+    def chunk(start: int, stop: int, stream: np.random.Generator) -> None:
+        _draw_nodes(h, rows[start:stop], fixed, stream)
 
     if workers == 1:
-        rows = chunk(sizes[0], streams[0])
+        chunk(0, n, streams[0])
     else:
         with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
-            pieces = list(pool.map(chunk, sizes, streams))
-        rows = np.vstack(pieces)
-    variables = tuple(h.variables[name] for name in h.node_order)
+            list(pool.map(chunk, bounds[:-1], bounds[1:], streams))
     return Dataset(variables, rows, frozenset(fixed))
 
 
-def _draw_nodes(
-    h: SamplingNetwork,
-    cols: dict[str, np.ndarray],
-    n: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Draw n values of every node that `cols` does not already hold, in node
-    order, from its model; `cols` must hold every placeholder. Return the
-    (n, nodes) rows in node order."""
-    for name in h.node_order:
-        if name not in cols:
-            cols[name] = h.nodes[name].sample_n(cols, n, rng)
-    return np.column_stack([cols[name] for name in h.node_order])
+def _node_columns(h: SamplingNetwork, rows: np.ndarray) -> dict[str, np.ndarray]:
+    """The columns of an (n, nodes) block in node order, by node name."""
+    return dict(zip(h.node_order, rows.T))
+
+
+def _draw_nodes(h: SamplingNetwork, rows: np.ndarray, filled: Iterable[str], rng: np.random.Generator) -> None:
+    """Fill the columns of the (n, nodes) block `rows`, in node order, that
+    `filled` does not name, each drawn from its node's model given the columns
+    before it; `filled` must name every placeholder."""
+    cols = _node_columns(h, rows)
+    for name, col in cols.items():
+        if name not in filled:
+            col[:] = h.nodes[name].sample_n(cols, len(rows), rng)
 
 
 def format_network(h: SamplingNetwork) -> str:
@@ -323,11 +327,13 @@ class DatasetSource:
         # the anchors cycle through the current rows, the proposal's variables are
         # drawn jointly, and every model of `inner` is sampled ancestrally after them
         n_new = max(1, int(round(self.dataset.n * multiplier)))
-        anchor_idx = np.arange(n_new, dtype=np.int64) % self.dataset.n
-        cols = {name: self.dataset.column(name)[anchor_idx] for name in anchor_names}
-        cols.update(_sample_joint(proposal, n_new, rng))
-        rows = _draw_nodes(inner, cols, n_new, rng)
         variables = tuple(inner.variables[name] for name in inner.node_order)
+        rows = empty_rows(variables, n_new)
+        cols = _node_columns(inner, rows)
+        for name in anchor_names:
+            cols[name][:] = np.resize(self.dataset.column(name), n_new)
+        _sample_joint(proposal, cols, n_new, rng)
+        _draw_nodes(inner, rows, {*anchor_names, *proposal.names}, rng)
         return DatasetSource(Dataset(variables, rows, frozenset(inner.empty_nodes())))
 
 
@@ -375,13 +381,13 @@ class ExactSource:
         return ExactSource(table, frozenset(inner.empty_nodes()))
 
 
-def _sample_joint(table: DistTable, n: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
+def _sample_joint(table: DistTable, cols: Mapping[str, np.ndarray], n: int, rng: np.random.Generator) -> None:
+    """Draw n joint states of `table`'s variables into their columns of `cols`."""
     if not table.variables:  # a proposal over no variables fixes nothing
-        return {}
+        return
     flat = draw_categorical(table.probs.reshape(1, -1), np.zeros(n, dtype=np.int64), rng)
-    idx = np.unravel_index(flat, table.probs.shape)
-    # contiguous copies: the unravelled columns are strided views of one (n, ndim) block
-    return {v.name: idx[i].astype(np.int64) for i, v in enumerate(table.variables)}
+    for v, states in zip(table.variables, np.unravel_index(flat, table.probs.shape)):
+        cols[v.name][:] = states
 
 
 # -- the recursion ------------------------------------------------------------------

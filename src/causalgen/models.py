@@ -1,5 +1,13 @@
 """Discrete datasets and the conditional-sampler abstraction.
 
+A dataset stores its rows column-major (Fortran order) in the smallest
+unsigned dtype that holds every cardinality, uint8 for binary data, so a
+column is one contiguous array. `Dataset` validates the array it is given
+(integer dtype, every value within its column's cardinality) before it
+narrows it; producers allocate that layout with `empty_rows` and fill it in
+place. The CSV format is unchanged: a header of names and one `%d` line per
+row, with an optional JSON sidecar of cardinalities and intervened columns.
+
 A conditional model maps a full context assignment to a distribution over one
 target variable; it is the single plug-in seam between the network compiler and
 whatever actually produces samples. The discrete implementations here are
@@ -29,25 +37,48 @@ class DataError(ValueError):
 # -- datasets -----------------------------------------------------------------
 
 
+def row_dtype(variables: Iterable[Variable]) -> np.dtype:
+    """The smallest unsigned dtype that holds every state of `variables`."""
+    dtype = np.min_scalar_type(max((v.cardinality for v in variables), default=1) - 1)
+    if dtype.kind != "u":
+        raise DataError("a cardinality exceeds the 64-bit range")
+    return dtype
+
+
+def empty_rows(variables: Sequence[Variable], n: int) -> np.ndarray:
+    """An uninitialised (n, variables) block in `Dataset`'s storage layout."""
+    return np.empty((n, len(variables)), dtype=row_dtype(variables), order="F")
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Tabular discrete samples; `intervened` marks columns whose values were
-    forced by an intervention rather than observed."""
+    forced by an intervention rather than observed.
+
+    `rows` may be any 2-D integer array. It is validated as given, so a negative
+    value is caught before narrowing could wrap it, and then stored column-major
+    in `row_dtype(variables)`; a block already in that layout (see `empty_rows`)
+    is kept as it is, and validating it costs one contiguous max per column."""
 
     variables: tuple[Variable, ...]
     rows: np.ndarray
     intervened: frozenset[str] = frozenset()
 
     def __post_init__(self):
-        if self.rows.ndim != 2 or self.rows.shape[1] != len(self.variables):
-            raise DataError(f"rows shape {self.rows.shape} does not match {len(self.variables)} variables")
+        rows = np.asarray(self.rows)
+        if rows.ndim != 2 or rows.shape[1] != len(self.variables):
+            raise DataError(f"rows shape {rows.shape} does not match {len(self.variables)} variables")
+        if rows.dtype.kind not in "iu":
+            raise DataError(f"rows must hold integers, not {rows.dtype}")
+        signed = rows.dtype.kind == "i"
         for i, v in enumerate(self.variables):
-            col = self.rows[:, i]
-            if len(col) and (col.min() < 0 or col.max() >= v.cardinality):
+            col = rows[:, i]
+            if len(col) and ((signed and col.min() < 0) or col.max() >= v.cardinality):
                 raise DataError(f"column {v.name} has values outside [0, {v.cardinality})")
         unknown = self.intervened - {v.name for v in self.variables}
         if unknown:
             raise DataError(f"intervened columns {sorted(unknown)} are not dataset variables")
+        object.__setattr__(self, "rows", np.asarray(rows, dtype=row_dtype(self.variables), order="F"))
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -85,11 +116,20 @@ class Dataset:
         )
 
 
+CSV_CHUNK_ROWS = 1 << 16  # bounds the temporary values and text of one write
+
+
 def write_dataset_csv(d: Dataset, path: str | Path, sidecar: str | Path | None = None):
+    """The header of names, then one line of `%d` values per row: the text of
+    `np.savetxt(fmt="%d", delimiter=",")`, formatted by one `%` per chunk of
+    rows instead of one per row."""
     path = Path(path)
+    line = ",".join(["%d"] * len(d.variables)) + "\n"
     with path.open("w", newline="") as fh:
         fh.write(",".join(d.names) + "\n")
-        np.savetxt(fh, d.rows, fmt="%d", delimiter=",")
+        for start in range(0, d.n, CSV_CHUNK_ROWS):
+            chunk = d.rows[start : start + CSV_CHUNK_ROWS]
+            fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
     if sidecar is not None:
         meta = {
             "cardinalities": {v.name: v.cardinality for v in d.variables},
@@ -125,7 +165,7 @@ def read_dataset_csv(path: str | Path, sidecar: str | Path | None = None) -> Dat
     if sidecar is not None and Path(sidecar).exists():
         cards, intervened = _read_sidecar(Path(sidecar))
     variables = tuple(
-        Variable(n, cards.get(n, max(2, int(rows[:, i].max()) + 1 if rows.size else 2)))
+        Variable(n, cards[n] if n in cards else max(2, int(rows[:, i].max()) + 1 if len(rows) else 2))
         for i, n in enumerate(names)
     )
     return Dataset(variables, rows, intervened)

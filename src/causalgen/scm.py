@@ -24,7 +24,7 @@ import numpy as np
 
 from .estimands import DistTable, Factor, contract
 from .graphs import Admg, Variable, format_graph, parse_graph
-from .models import DataError, Dataset, draw_categorical
+from .models import DataError, Dataset, draw_categorical, empty_rows
 
 ENUMERATION_BUDGET = 10_000_000
 
@@ -92,13 +92,14 @@ def sample_observational(m: DiscreteScm, n: int, rng: np.random.Generator) -> Da
     latents = {pair: draw_categorical(m.latents[pair][None], row0, rng) for pair in g.latent_pairs()}
     order = g.topological_order()
     last = {pair: max(pair, key=order.index) for pair in latents}
-    values: dict[str, np.ndarray] = {}
+    rows = empty_rows(g.variables, n)
+    values = dict(zip(g.names, rows.T))
     for name in order:
         index = [values[p] for p in g.parents(name)] + [noise.pop(name)]
         index.extend(latents.pop(p) if last[p] == name else latents[p] for p in m.incident_latents(name))
-        values[name] = m.mechanisms[name][tuple(index)]
+        # the mechanism's states fit the column's dtype, so the gather writes no int64 copy
+        values[name][:] = m.mechanisms[name].astype(rows.dtype)[tuple(index)]
         del index  # its noise column, and a latent read for the last time, go now
-    rows = np.column_stack([values[name] for name in g.names])
     return Dataset(g.variables, rows)
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -302,6 +303,34 @@ class TestAncestralSampling:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         ancestral_sample(net, {"X": 0}, 10, np.random.default_rng(5), workers=4)
         assert sizes == [2, 2, 1]
+
+    def test_threads_fill_their_own_rows_of_one_block(self, monkeypatch):
+        # more threads than cores, switching often: a lost or misplaced chunk write changes the rows
+        g = frontdoor_graph()
+        net = build_network({"R"}, {"X"}, g, exact_source(g)).network
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = ancestral_sample(net, {"X": 1}, 20_003, np.random.default_rng(6), workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        expected = stacked_reference(net, {"X": 1}, 20_003, np.random.default_rng(6), workers=8)
+        assert np.array_equal(threaded.rows, expected)
+
+
+def stacked_reference(h, fixed, n, rng, workers):
+    """The rows `ancestral_sample` drew by stacking: each stream's chunk drawn
+    into int64 columns of its own, in node order, the chunks stacked in stream order."""
+    sizes = [n // workers + (1 if i < n % workers else 0) for i in range(workers)]
+    pieces = []
+    for size, stream in zip(sizes, rng.spawn(workers)):
+        cols = {name: np.full(size, value, dtype=np.int64) for name, value in fixed.items()}
+        for name in h.node_order:
+            if name not in cols:
+                cols[name] = h.nodes[name].sample_n(cols, size, stream)
+        pieces.append(np.column_stack([cols[name] for name in h.node_order]))
+    return np.vstack(pieces)
 
 
 class TestProjectTargets:

@@ -1,11 +1,13 @@
 """Property tests for the text parsers: every input either parses or raises the
-parser's own error type, never an IndexError, ValueError or the like; and the
-CLI answers every CSV and sidecar with an exit code, never a traceback."""
+parser's own error type, never an IndexError, ValueError or the like; the
+CLI answers every CSV and sidecar with an exit code, never a traceback; and a
+dataset written as CSV with its sidecar reads back unchanged."""
 
 from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")  # dev-only dependency
@@ -15,7 +17,8 @@ from hypothesis import strategies as st
 
 from causalgen.cli import main
 from causalgen.engine import parse_query
-from causalgen.graphs import GraphError, parse_graph
+from causalgen.graphs import GraphError, Variable, parse_graph
+from causalgen.models import Dataset, read_dataset_csv, write_dataset_csv
 from causalgen.scm import ScmError, catalog_entry, read_scm, write_scm
 from conftest import frontdoor_graph
 
@@ -146,3 +149,27 @@ def test_sample_answers_any_csv_with_an_exit_code(frontdoor_dir, data):
     code = main(["sample", "--graph", str(frontdoor_dir / "fd.graph"), "--query", str(frontdoor_dir / "q.txt"),
                  "--data", str(frontdoor_dir / "obs.csv"), "--n", "5", "--out", str(frontdoor_dir / "out")])
     assert code in (0, 1, 2)
+
+
+@st.composite
+def datasets(draw):
+    """1-4 columns, each of cardinality 2..70,000 or at a dtype boundary, 0-40 rows,
+    any intervened subset."""
+    boundaries = st.sampled_from([2, 256, 257, 65_536, 65_537, 70_000])
+    cards = draw(st.lists(st.one_of(st.integers(2, 70_000), boundaries), min_size=1, max_size=4))
+    names = [f"V{i}" for i in range(len(cards))]
+    cells = st.tuples(*(st.integers(0, c - 1) for c in cards))
+    rows = draw(st.lists(cells, max_size=40))
+    intervened = draw(st.frozensets(st.sampled_from(names)))
+    rows = np.array(rows, dtype=np.int64).reshape(len(rows), len(cards))
+    return Dataset(tuple(Variable(n, c) for n, c in zip(names, cards)), rows, intervened)
+
+
+@FUZZ
+@given(d=datasets())
+def test_csv_round_trip_with_sidecar(tmp_path, d):
+    write_dataset_csv(d, tmp_path / "d.csv", tmp_path / "d.json")
+    again = read_dataset_csv(tmp_path / "d.csv", tmp_path / "d.json")
+    assert again.variables == d.variables
+    assert again.intervened == d.intervened
+    assert again.rows.dtype == d.rows.dtype and np.array_equal(again.rows, d.rows)

@@ -3,8 +3,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from causalgen.graphs import Variable
+from causalgen.engine import DatasetSource, SamplingNetwork, ancestral_sample, proposal_table
+from causalgen.graphs import Admg, Variable
 from causalgen.models import (
+    CSV_CHUNK_ROWS,
     CptModel,
     DataError,
     Dataset,
@@ -50,6 +52,130 @@ class TestDataset:
         write_dataset_csv(again, tmp_path / "d2.csv", tmp_path / "d2.json")
         assert (tmp_path / "d2.csv").read_bytes() == csv.read_bytes()
         assert (tmp_path / "d2.json").read_bytes() == side.read_bytes()
+
+    @pytest.mark.parametrize("rows", [np.array([[0.5, 1.0], [1.0, 0.0]]), np.array([[True, False]])])
+    def test_rejects_non_integer_rows(self, rows):
+        # narrowing would truncate 0.5 to 0 without a word
+        with pytest.raises(DataError, match="integers"):
+            Dataset((Variable("A", 2), Variable("B", 2)), rows)
+
+    @pytest.mark.parametrize(
+        "value, card, dtype",
+        [
+            (-1, 256, np.int64),  # would wrap to 255, a legal state, if narrowed first
+            (-1, 2, np.int8),
+            (255, 255, np.uint8),  # the cardinality itself, under uint8
+            (300, 300, np.uint16),  # and under uint16
+            (70_000, 70_000, np.uint32),
+        ],
+    )
+    def test_validates_before_narrowing(self, value, card, dtype):
+        rows = np.zeros((5, 2), dtype=dtype)
+        rows[3, 1] = value
+        with pytest.raises(DataError, match="outside"):
+            Dataset((Variable("A", 2), Variable("B", card)), rows)
+        with pytest.raises(DataError, match="outside"):  # a block already in the storage layout
+            Dataset((Variable("A", 2), Variable("B", card)), np.asfortranarray(rows))
+
+    @pytest.mark.parametrize("cards, dtype", [((2, 2), np.uint8), ((2, 256), np.uint8), ((300, 2), np.uint16),
+                                              ((2, 70_000), np.uint32)])
+    def test_stores_columns_contiguously_in_the_smallest_unsigned_dtype(self, cards, dtype):
+        rows = np.array([[c - 1 for c in cards], [0] * len(cards)], dtype=np.int64)
+        d = Dataset(tuple(Variable(f"V{i}", c) for i, c in enumerate(cards)), rows)
+        assert d.rows.dtype == dtype and d.rows.flags.f_contiguous
+        assert np.array_equal(d.rows, rows)
+        assert all(d.column(v.name).flags.c_contiguous for v in d.variables)
+        again = Dataset(d.variables, d.rows)
+        assert again.rows is d.rows  # a block in the storage layout is not copied
+
+
+def savetxt_reference(path, d):
+    """The CSV `write_dataset_csv` wrote through `np.savetxt`, one format per row."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(d.names) + "\n")
+        np.savetxt(fh, d.rows, fmt="%d", delimiter=",")
+
+
+class TestCsvBytes:
+    @pytest.mark.parametrize(
+        "n, cards",
+        [
+            (1000, (2, 2, 2)),
+            (1000, (11, 2)),
+            (1000, (300, 11, 2)),
+            (1000, (70_000, 2)),
+            (0, (2, 300)),  # no rows
+            (1000, (7,)),  # one column
+            (CSV_CHUNK_ROWS * 2 + 17, (2, 300)),  # more rows than one chunk
+        ],
+    )
+    def test_matches_savetxt_reference(self, tmp_path, n, cards):
+        gen = np.random.default_rng(n + sum(cards))
+        rows = np.column_stack([gen.integers(0, c, size=n) for c in cards])
+        if n:
+            rows[:2] = [[c - 1 for c in cards], [0] * len(cards)]  # both ends of every range
+        d = Dataset(tuple(Variable(f"V{i}", c) for i, c in enumerate(cards)), rows)
+        write_dataset_csv(d, tmp_path / "fast.csv")
+        savetxt_reference(tmp_path / "reference.csv", d)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def smallest_unsigned(variables):
+    return np.min_scalar_type(max(v.cardinality for v in variables) - 1)
+
+
+def assert_storage_layout(d):
+    assert d.rows.flags.f_contiguous, "rows are not column-major"
+    assert d.rows.dtype == smallest_unsigned(d.variables)
+
+
+class TestProducersReturnStorageLayout:
+    """Every producer of datasets hands back column-major rows in the smallest
+    unsigned dtype; a 300-state S makes that uint16."""
+
+    @pytest.fixture
+    def graph(self):
+        return Admg([Variable("X", 3), Variable("S", 300), Variable("R", 2)], [("X", "S"), ("S", "R")], [("X", "R")])
+
+    @pytest.fixture
+    def data(self, graph):
+        return sample_observational(noisy_copy_scm(graph), 5000, np.random.default_rng(0))
+
+    def test_sample_observational(self, data):
+        assert_storage_layout(data)
+        assert data.rows.dtype == np.uint16
+
+    def test_read_dataset_csv(self, tmp_path, data):
+        write_dataset_csv(data, tmp_path / "d.csv", tmp_path / "d.json")
+        assert_storage_layout(read_dataset_csv(tmp_path / "d.csv", tmp_path / "d.json"))
+        assert_storage_layout(read_dataset_csv(tmp_path / "d.csv"))  # cardinalities inferred
+        assert_storage_layout(data.restrict(["X", "R"]))
+        assert data.restrict(["X", "R"]).rows.dtype == np.uint8
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_ancestral_sample(self, graph, data, workers):
+        source = DatasetSource(data)
+        h = SamplingNetwork(
+            {v.name: v for v in graph.variables},
+            {"X": None, "S": source.fit("S", ["X"]), "R": source.fit("R", ["S"])},
+            tuple(graph.topological_order()),
+        )
+        d = ancestral_sample(h, {"X": 2}, 1001, np.random.default_rng(1), workers=workers)
+        assert_storage_layout(d)
+        assert np.all(d.column("X") == 2)
+
+    @pytest.mark.parametrize("anchors", [(), ("X",)])
+    def test_dataset_source_regenerate(self, graph, data, anchors):
+        source = DatasetSource(data)
+        inner = SamplingNetwork(
+            {v.name: v for v in graph.variables},
+            {"X": None, "S": source.fit("S", ["X"]), "R": source.fit("R", ["S"])},
+            tuple(graph.topological_order()),
+        )
+        proposal = proposal_table("uniform", [n for n in ("X",) if n not in anchors], graph, source)
+        regenerated = source.regenerate(inner, proposal, anchors, 1.5, np.random.default_rng(2))
+        assert_storage_layout(regenerated.dataset)
+        assert regenerated.dataset.n == 7500
 
 
 class TestFitConditional:
