@@ -5,8 +5,18 @@ unsigned dtype that holds every cardinality, uint8 for binary data, so a
 column is one contiguous array. `Dataset` validates the array it is given
 (integer dtype, every value within its column's cardinality) before it
 narrows it; producers allocate that layout with `empty_rows` and fill it in
-place. The CSV format is unchanged: a header of names and one `%d` line per
-row, with an optional JSON sidecar of cardinalities and intervened columns.
+place.
+
+The CSV format is a header line of comma-separated names, then one line per
+row of comma-separated decimal integers (`%d`), with an optional JSON sidecar
+of cardinalities and intervened columns. The reader accepts exactly what
+`write_dataset_csv` writes, plus CRLF line ends and a missing final newline:
+a row is cells of 1-18 ASCII digits (leading zeros allowed), separated by
+commas and ended by a newline, as many cells as the header has names. It
+refuses, naming the line, spaces around a cell, a sign, `#` comments, blank
+lines, a lone carriage return, non-ASCII bytes, a wrong field count, an empty
+or longer cell, and a value at or above its sidecar cardinality. The header
+is decoded as UTF-8 (undecodable bytes replaced) and stripped.
 
 A conditional model maps a full context assignment to a distribution over one
 target variable; it is the single plug-in seam between the network compiler and
@@ -19,7 +29,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -27,7 +36,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .estimands import DistTable, contract
-from .graphs import Variable
+from .graphs import GraphError, Variable
 
 
 class DataError(ValueError):
@@ -117,6 +126,8 @@ class Dataset:
 
 
 CSV_CHUNK_ROWS = 1 << 16  # bounds the temporary values and text of one write
+CSV_CHUNK_BYTES = 1 << 16  # bounds the temporary arrays of one read
+CSV_MAX_DIGITS = 18  # every 18-digit cell fits int64
 
 
 def write_dataset_csv(d: Dataset, path: str | Path, sidecar: str | Path | None = None):
@@ -139,36 +150,121 @@ def write_dataset_csv(d: Dataset, path: str | Path, sidecar: str | Path | None =
 
 
 def read_dataset_csv(path: str | Path, sidecar: str | Path | None = None) -> Dataset:
+    """Read what `write_dataset_csv` writes, also with CRLF line ends or without
+    the final newline. The rows are parsed from the file's bytes by numpy
+    arithmetic, one row-aligned chunk at a time, straight into the dataset's
+    column-major block; a malformed row is reported by its line number."""
     path = Path(path)
-    with path.open(errors="replace") as fh:  # undecodable bytes fail the ASCII check
-        header = fh.readline().strip()
-        if not header:
-            raise DataError(f"{path}: empty csv")
-        names = header.split(",")
-        repeated = next((n for i, n in enumerate(names) if n in names[:i]), None)
-        if repeated is not None:
-            raise DataError(f"{path}: column {repeated!r} appears twice in the header")
-        if not _ascii_rest(fh):
-            raise DataError(f"{path}: the rows hold non-ASCII characters")
-        try:
-            with warnings.catch_warnings():  # a csv without rows is handled below
-                warnings.simplefilter("ignore", UserWarning)
-                rows = np.loadtxt(fh, dtype=np.int64, delimiter=",", ndmin=2)
-        except ValueError as exc:  # a non-integer cell or a ragged row
-            raise DataError(f"{path}: {exc}") from None
-    if rows.size == 0:
-        rows = rows.reshape(0, len(names))
-    if rows.shape[1] != len(names):
-        raise DataError(f"{path}: rows have {rows.shape[1]} fields, the header has {len(names)}")
+    raw = path.read_bytes()
+    if b"\r" in raw:
+        raw = raw.replace(b"\r\n", b"\n")  # a lone carriage return stays, and is refused
+    if not raw.endswith(b"\n"):
+        raw += b"\n"
+    start = raw.find(b"\n") + 1
+    header = raw[:start].decode(errors="replace").strip()
+    if not header:
+        raise DataError(f"{path}: empty csv")
+    if "\r" in header:
+        raise DataError(f"{path}:1: a carriage return inside the header")
+    names = header.split(",")
+    repeated = next((n for i, n in enumerate(names) if n in names[:i]), None)
+    if repeated is not None:
+        raise DataError(f"{path}: column {repeated!r} appears twice in the header")
     cards: dict[str, int] = {}
     intervened: frozenset[str] = frozenset()
     if sidecar is not None and Path(sidecar).exists():
         cards, intervened = _read_sidecar(Path(sidecar))
-    variables = tuple(
-        Variable(n, cards[n] if n in cards else max(2, int(rows[:, i].max()) + 1 if len(rows) else 2))
-        for i, n in enumerate(names)
-    )
-    return Dataset(variables, rows, intervened)
+    known = [cards.get(n) for n in names]
+    # with every cardinality known the block is narrowed as it is filled; else Dataset narrows it
+    dtype = np.dtype(np.int64) if None in known else row_dtype(_variables(path, names, known))
+    rows = _parse_rows(path, raw, start, names, known, dtype)
+    top = rows.max(axis=0, initial=0)
+    inferred = [c if c is not None else max(2, int(t) + 1) for c, t in zip(known, top)]
+    return Dataset(_variables(path, names, inferred), rows, intervened)
+
+
+def _parse_rows(path: Path, raw: bytes, start: int, names: list[str], cards: list[int | None],
+                dtype: np.dtype) -> np.ndarray:
+    """The rows of `raw[start:]`, which ends with a newline, in an (n, k)
+    column-major block of `dtype`. A chunk is checked whole before any of it
+    is written, so a value at or above its column's sidecar cardinality
+    cannot wrap in the narrowed block; `_row_fault` words the refusal."""
+    k = len(names)
+    rows = np.empty((raw.count(b"\n", start), k), dtype, order="F")
+    # each column's bound, repeated for the most cells a chunk can hold
+    bound = np.array([10**CSV_MAX_DIGITS if c is None else min(c, 10**CSV_MAX_DIGITS) for c in cards])
+    bound = np.tile(bound, CSV_CHUNK_BYTES // (2 * k) + 1)
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    row = 0
+    while start < len(raw):
+        # the chunk ends at the last newline in its window, or else at the first after it
+        stop = raw.rfind(b"\n", start, start + CSV_CHUNK_BYTES) + 1
+        if stop <= start:
+            stop = raw.find(b"\n", start + CSV_CHUNK_BYTES) + 1
+        values = _chunk_values(buf[start:stop], k)
+        if values is None or (values >= bound[: len(values)]).any():
+            raise DataError(f"{path}:{_row_fault(raw[start:stop], row + 2, names, cards)}")
+        rows[row : row + len(values) // k] = values.reshape(-1, k)
+        row += len(values) // k
+        start = stop
+    return rows
+
+
+def _chunk_values(chunk: np.ndarray, k: int) -> np.ndarray | None:
+    """The values of a chunk of whole rows, cell after cell, or None when it
+    breaks the grammar. Every byte that is not a digit is a separator, and the
+    separators of a row must be k - 1 commas and a newline; a cell's value is
+    its last digit plus ten times the one before, and so on, for as many
+    passes as the widest cell has digits."""
+    digits = chunk - np.uint8(ord("0"))
+    seps = np.flatnonzero(digits >= 10)
+    r = len(seps) // k
+    # every k-th separator a newline, and all the others commas
+    if len(seps) != r * k or not (chunk[seps[k - 1 :: k]] == ord("\n")).all():
+        return None
+    if np.count_nonzero(chunk == ord(",")) != r * (k - 1):
+        return None
+    gap = np.empty_like(seps)  # a cell's digits plus its separator
+    gap[0] = seps[0] + 1
+    np.subtract(seps[1:], seps[:-1], out=gap[1:])
+    widest = int(gap.max()) - 1
+    if gap.min() < 2 or widest > CSV_MAX_DIGITS:
+        return None
+    values = digits[seps - 1]
+    for p in range(1, widest):
+        # a cell of p digits or fewer adds 0; its index stays inside the chunk
+        values = values + digits[seps - 1 - p] * (gap > p + 1) * np.int64(10**p)
+    return values
+
+
+def _row_fault(text: bytes, first_line: int, names: list[str], cards: list[int | None]) -> str:
+    """`lineno: what is wrong` for the first row of `text` that `_chunk_values`
+    refuses; found line by line, so only the error path counts lines."""
+    for lineno, line in enumerate(text.removesuffix(b"\n").split(b"\n"), first_line):
+        if not line:
+            return f"{lineno}: a blank line"
+        bad = line.translate(None, b"0123456789,")
+        if bad:
+            what = f"non-ASCII byte 0x{bad[0]:02x}" if bad[0] >= 0x80 else f"character {chr(bad[0])!r}"
+            return f"{lineno}: {what}; a row holds only digits and commas"
+        cells = line.split(b",")
+        if len(cells) != len(names):
+            return f"{lineno}: {len(cells)} fields, the header has {len(names)}"
+        for name, cell, card in zip(names, cells, cards):
+            if not cell:
+                return f"{lineno}: column {name} is empty"
+            if len(cell) > CSV_MAX_DIGITS:
+                return f"{lineno}: column {name} has {len(cell)} digits, more than {CSV_MAX_DIGITS}"
+            if card is not None and int(cell) >= card:
+                return f"{lineno}: column {name} holds {int(cell)}, at or above its cardinality {card}"
+    raise AssertionError("a refused chunk without a faulty row")
+
+
+def _variables(path: Path, names: Sequence[str], cards: Sequence[int]) -> tuple[Variable, ...]:
+    try:
+        return tuple(Variable(n, c) for n, c in zip(names, cards))
+    except GraphError as exc:  # a header name or sidecar cardinality Variable refuses
+        raise DataError(f"{path}: {exc}") from None
 
 
 def _read_sidecar(path: Path) -> tuple[dict[str, int], frozenset[str]]:
@@ -185,16 +281,6 @@ def _read_sidecar(path: Path) -> tuple[dict[str, int], frozenset[str]]:
     if not isinstance(intervened, list) or any(not isinstance(n, str) for n in intervened):
         raise DataError(f"{path}: intervened must be a list of names")
     return cards, frozenset(intervened)
-
-
-def _ascii_rest(fh) -> bool:
-    """Whether the rest of the text file is ASCII; leaves the position unchanged.
-    numpy's integer parser reads some other characters as numbers (U+20000 as
-    131024), or crashes on them."""
-    start = fh.tell()
-    ascii_only = all(chunk.isascii() for chunk in iter(lambda: fh.read(1 << 20), ""))
-    fh.seek(start)
-    return ascii_only
 
 
 # -- conditional models ---------------------------------------------------------

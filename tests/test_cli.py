@@ -284,6 +284,41 @@ class TestIngressErrors:
                                     "--data", str(frontdoor_files / "bad.csv"),
                                     "--out", str(frontdoor_files / "o")], fragment)
 
+    # the reader takes exactly what write_dataset_csv writes; np.loadtxt also took these
+    @pytest.mark.parametrize("rows, fragment", [
+        ("0,0,0\n0, 1,0\n", "bad.csv:3: character ' '"),
+        ("0,0,0\n0,1 ,0\n", "bad.csv:3: character ' '"),
+        ("0,0,0\n+1,0,0\n", "bad.csv:3: character '+'"),
+        ("0,0,0\n# a comment\n1,0,0\n", "bad.csv:3: character '#'"),
+        ("0,0,0\n1,1,1 # a comment\n", "bad.csv:3: character ' '"),
+        ("0,0,0\n\n1,0,0\n", "bad.csv:3: a blank line"),
+    ])
+    def test_sample_refuses_what_loadtxt_accepted(self, frontdoor_files, capsys, rows, fragment):
+        (frontdoor_files / "bad.csv").write_text("X,S,R\n" + rows)
+        assert_input_error(capsys, ["sample", "--graph", str(frontdoor_files / "frontdoor.graph"),
+                                    "--query", str(frontdoor_files / "query.txt"),
+                                    "--data", str(frontdoor_files / "bad.csv"),
+                                    "--out", str(frontdoor_files / "o")], fragment)
+
+    @pytest.mark.parametrize("rows, fragment", [
+        ("0,0,0\n1,1,1\n0,a,1\n", "bad.csv:4: character 'a'"),
+        ("0,0,0\n1,1,1\r0,0,0\n", "bad.csv:3: character '\\r'"),
+        ("0,0,0\n0,0,\u00e9\n", "bad.csv:3: non-ASCII byte 0xc3"),
+        ("0,0,0\n0,1\n", "bad.csv:3: 2 fields, the header has 3"),
+        ("0,0,0\n0,1,1,0\n", "bad.csv:3: 4 fields, the header has 3"),
+        ("0,0,0\n0,,1\n", "bad.csv:3: column S is empty"),
+        ("0,0,0\n0,0,0000000000000000001\n", "bad.csv:3: column R has 19 digits, more than 18"),
+        ("0,0,0\n0,2,0\n", "bad.csv:3: column S holds 2, at or above its cardinality 2"),
+        pytest.param("0,0,0\n" * 40_000 + "0,0,2\n", "bad.csv:40002: column R holds 2", id="past-the-first-chunk"),
+    ])
+    def test_sample_malformed_csv_names_the_line(self, frontdoor_files, capsys, rows, fragment):
+        (frontdoor_files / "bad.csv").write_text("X,S,R\n" + rows, encoding="utf-8")
+        (frontdoor_files / "bad.sidecar.json").write_text('{"cardinalities": {"X": 2, "S": 2, "R": 2}}')
+        assert_input_error(capsys, ["sample", "--graph", str(frontdoor_files / "frontdoor.graph"),
+                                    "--query", str(frontdoor_files / "query.txt"),
+                                    "--data", str(frontdoor_files / "bad.csv"),
+                                    "--out", str(frontdoor_files / "o")], fragment)
+
     def test_sample_repeated_csv_column(self, frontdoor_files, capsys):
         (frontdoor_files / "dup.csv").write_text("X,S,R,X\n0,0,0,1\n1,1,1,0\n")
         assert_input_error(capsys, ["sample", "--graph", str(frontdoor_files / "frontdoor.graph"),

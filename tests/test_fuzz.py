@@ -1,7 +1,8 @@
 """Property tests for the text parsers: every input either parses or raises the
 parser's own error type, never an IndexError, ValueError or the like; the
-CLI answers every CSV and sidecar with an exit code, never a traceback; and a
-dataset written as CSV with its sidecar reads back unchanged."""
+CLI answers every CSV and sidecar with an exit code, never a traceback; a
+dataset written as CSV with its sidecar reads back unchanged; and the CSV
+reader returns what the `np.loadtxt` reader returned, or refuses the input."""
 
 from __future__ import annotations
 
@@ -18,9 +19,10 @@ from hypothesis import strategies as st
 from causalgen.cli import main
 from causalgen.engine import parse_query
 from causalgen.graphs import GraphError, Variable, parse_graph
-from causalgen.models import Dataset, read_dataset_csv, write_dataset_csv
+from causalgen.models import DataError, Dataset, read_dataset_csv, write_dataset_csv
 from causalgen.scm import ScmError, catalog_entry, read_scm, write_scm
 from conftest import frontdoor_graph
+from test_models import assert_same_dataset, csv_variant, loadtxt_reference
 
 TOKENS = st.one_of(
     st.sampled_from(
@@ -173,3 +175,51 @@ def test_csv_round_trip_with_sidecar(tmp_path, d):
     assert again.variables == d.variables
     assert again.intervened == d.intervened
     assert again.rows.dtype == d.rows.dtype and np.array_equal(again.rows, d.rows)
+
+
+@st.composite
+def written_csvs(draw):
+    """What `write_dataset_csv` writes, as is or in a variant the reader accepts:
+    cardinalities 2-70,000, 0-30 rows or more than one read chunk."""
+    cards = draw(st.lists(st.integers(2, 70_000) | st.sampled_from([2, 10, 11, 256, 257, 65_537]),
+                          min_size=1, max_size=4))
+    n = draw(st.integers(0, 30) | st.integers(33_000, 40_000))  # 2 bytes a cell or more: over 64 KiB
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = np.column_stack([gen.integers(0, c, size=n) for c in cards]).reshape(n, len(cards))
+    if n:
+        rows[0] = [c - 1 for c in cards]
+    names = [f"V{i}" for i in range(len(cards))]
+    d = Dataset(tuple(map(Variable, names, cards)), rows, draw(st.frozensets(st.sampled_from(names))))
+    return d, draw(st.sampled_from(["lf", "crlf", "no final newline", "leading zeros"]))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=written_csvs())
+def test_csv_reader_matches_loadtxt_reference(tmp_path, case):
+    d, variant = case
+    write_dataset_csv(d, tmp_path / "d.csv", tmp_path / "d.json")
+    (tmp_path / "d.csv").write_bytes(csv_variant((tmp_path / "d.csv").read_bytes(), variant))
+    for sidecar in (tmp_path / "d.json", None):
+        assert_same_dataset(read_dataset_csv(tmp_path / "d.csv", sidecar), loadtxt_reference(tmp_path / "d.csv", sidecar))
+    assert_same_dataset(read_dataset_csv(tmp_path / "d.csv", tmp_path / "d.json"), d)
+
+
+CSV_BYTES = st.sampled_from(list("0123456789,,,\n\n\r #+-.eXSR\t") + ["\r\n", "\u00e9", "\x00", "00", "999999999999999999"])
+
+
+@FUZZ
+@given(text=st.one_of(
+    csv_texts(),
+    st.text(max_size=40),
+    st.lists(CSV_BYTES, max_size=40).map("".join),
+    st.lists(CSV_BYTES, max_size=40).map(lambda cells: "X,S,R\n" + "".join(cells)),
+    st.binary(max_size=40),
+))
+def test_csv_reader_refuses_or_agrees_with_loadtxt(tmp_path, text):
+    path = tmp_path / "d.csv"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    try:
+        d = read_dataset_csv(path)
+    except DataError:
+        return
+    assert_same_dataset(d, loadtxt_reference(path))

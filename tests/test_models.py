@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import json
+import tracemalloc
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,6 +20,7 @@ from causalgen.models import (
     exact_conditional,
     fit_conditional,
     read_dataset_csv,
+    _read_sidecar,
     write_dataset_csv,
 )
 from causalgen.scm import empirical_distribution, exact_joint, noisy_copy_scm, sample_observational, tvd
@@ -118,6 +124,118 @@ class TestCsvBytes:
         write_dataset_csv(d, tmp_path / "fast.csv")
         savetxt_reference(tmp_path / "reference.csv", d)
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def loadtxt_reference(path, sidecar=None) -> Dataset:
+    """The reader that parsed rows with `np.loadtxt` into an int64 block, which
+    `Dataset` then narrowed; it accepted more than `write_dataset_csv` writes."""
+    path = Path(path)
+    with path.open(errors="replace") as fh:
+        header = fh.readline().strip()
+        if not header:
+            raise DataError(f"{path}: empty csv")
+        names = header.split(",")
+        repeated = next((n for i, n in enumerate(names) if n in names[:i]), None)
+        if repeated is not None:
+            raise DataError(f"{path}: column {repeated!r} appears twice in the header")
+        start = fh.tell()
+        if not all(chunk.isascii() for chunk in iter(lambda: fh.read(1 << 20), "")):
+            raise DataError(f"{path}: the rows hold non-ASCII characters")
+        fh.seek(start)
+        try:
+            with warnings.catch_warnings():  # a csv without rows is handled below
+                warnings.simplefilter("ignore", UserWarning)
+                rows = np.loadtxt(fh, dtype=np.int64, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise DataError(f"{path}: {exc}") from None
+    if rows.size == 0:
+        rows = rows.reshape(0, len(names))
+    if rows.shape[1] != len(names):
+        raise DataError(f"{path}: rows have {rows.shape[1]} fields, the header has {len(names)}")
+    cards: dict[str, int] = {}
+    intervened: frozenset[str] = frozenset()
+    if sidecar is not None and Path(sidecar).exists():
+        cards, intervened = _read_sidecar(Path(sidecar))
+    variables = tuple(
+        Variable(n, cards[n] if n in cards else max(2, int(rows[:, i].max()) + 1 if len(rows) else 2))
+        for i, n in enumerate(names)
+    )
+    return Dataset(variables, rows, intervened)
+
+
+def assert_same_dataset(d, ref):
+    assert d.variables == ref.variables and d.intervened == ref.intervened
+    assert d.rows.dtype == ref.rows.dtype and d.rows.flags.f_contiguous
+    assert np.array_equal(d.rows, ref.rows)
+
+
+def csv_variant(text: bytes, variant: str) -> bytes:
+    """`write_dataset_csv`'s text with CRLF line ends, without its final newline,
+    or with two leading zeros on every cell."""
+    if variant == "crlf":
+        return text.replace(b"\n", b"\r\n")
+    if variant == "no final newline":
+        return text.removesuffix(b"\n")
+    if variant == "leading zeros":
+        header, body = text.split(b"\n", 1)
+        return b"\n".join([header] + [b"00" + line.replace(b",", b",00") for line in body.splitlines()]) + b"\n"
+    return text
+
+
+class TestCsvRead:
+    @pytest.mark.parametrize("variant", ["lf", "crlf", "no final newline", "leading zeros"])
+    @pytest.mark.parametrize(
+        "n, cards",
+        [
+            (1000, (2, 2, 2)),
+            (1000, (300, 11, 2)),
+            (1000, (2, 70_000)),
+            (0, (2, 300)),  # no rows
+            (1, (7,)),  # one row, one column
+            (CSV_CHUNK_ROWS // 2, (2, 256)),  # many chunks
+        ],
+    )
+    def test_matches_loadtxt_reference(self, tmp_path, n, cards, variant):
+        gen = np.random.default_rng(n + sum(cards))
+        rows = np.column_stack([gen.integers(0, c, size=n) for c in cards])
+        if n:
+            rows[0] = [c - 1 for c in cards]
+        d = Dataset(tuple(Variable(f"V{i}", c) for i, c in enumerate(cards)), rows, frozenset({"V0"}))
+        write_dataset_csv(d, tmp_path / "d.csv", tmp_path / "d.json")
+        (tmp_path / "d.csv").write_bytes(csv_variant((tmp_path / "d.csv").read_bytes(), variant))
+        for sidecar in (tmp_path / "d.json", None):
+            got = read_dataset_csv(tmp_path / "d.csv", sidecar)
+            assert_same_dataset(got, loadtxt_reference(tmp_path / "d.csv", sidecar))
+        assert_same_dataset(read_dataset_csv(tmp_path / "d.csv", tmp_path / "d.json"), d)
+
+    @pytest.mark.parametrize("digits", [1, 18])
+    def test_reads_up_to_eighteen_digits(self, tmp_path, digits):
+        value = 10**digits - 1
+        (tmp_path / "d.csv").write_text(f"A,B\n0,{value}\n1,0\n")
+        d = read_dataset_csv(tmp_path / "d.csv")
+        assert d.variable("B").cardinality == value + 1 and d.column("B").tolist() == [value, 0]
+
+    def test_sidecar_bound_is_checked_before_narrowing(self, tmp_path):
+        # 256 would wrap to 0 in the uint8 block that a cardinality of 3 selects
+        (tmp_path / "d.csv").write_text("A,B\n0,1\n1,256\n")
+        (tmp_path / "d.json").write_text(json.dumps({"cardinalities": {"A": 2, "B": 3}}))
+        with pytest.raises(DataError, match=r"d.csv:3: column B holds 256, at or above its cardinality 3"):
+            read_dataset_csv(tmp_path / "d.csv", tmp_path / "d.json")
+
+    def test_memory_is_the_file_and_the_block(self, tmp_path):
+        # no int64 matrix: the file's bytes, the narrowed block and one chunk's temporaries
+        cards = (2, 2, 3, 2)
+        gen = np.random.default_rng(0)
+        rows = np.column_stack([gen.integers(0, c, size=300_000) for c in cards])
+        d = Dataset(tuple(Variable(f"V{i}", c) for i, c in enumerate(cards)), rows)
+        write_dataset_csv(d, tmp_path / "d.csv", tmp_path / "d.json")
+        tracemalloc.start()
+        try:
+            read_dataset_csv(tmp_path / "d.csv", tmp_path / "d.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (tmp_path / "d.csv").stat().st_size + d.rows.nbytes + (2 << 20)
 
 
 def smallest_unsigned(variables):
