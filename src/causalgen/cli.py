@@ -59,7 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--proposal", choices=["uniform", "marginal"], default="uniform")
     p.add_argument("--dprime-mult", type=float, default=1.0)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--out", required=True, help="output prefix: writes <out>.csv and <out>.manifest")
+    p.add_argument("--out", required=True,
+                   help="output prefix: writes <out>.csv, <out>.sidecar.json and <out>.manifest")
     p.set_defaults(handler=cmd_sample)
 
     p = sub.add_parser("eval", help="score engine samples against the exact oracle")
@@ -167,10 +168,10 @@ def cmd_sample(args) -> int:
         network = result.network
     joint = engine.sample_interventional(network, q, args.n, rng, workers=args.workers)
     samples = joint.restrict(q.targets)
-    out = Path(args.out)
-    write_dataset_csv(samples, out.with_suffix(".csv"), out.with_suffix(".sidecar.json"))
-    out.with_suffix(".manifest").write_text(engine.format_network(network))
-    print(f"wrote {samples.n} rows to {out.with_suffix('.csv')}")
+    csv = Path(f"{args.out}.csv")
+    write_dataset_csv(samples, csv, Path(f"{args.out}.sidecar.json"))
+    Path(f"{args.out}.manifest").write_text(engine.format_network(network))
+    print(f"wrote {samples.n} rows to {csv}")
     return EXIT_OK
 
 

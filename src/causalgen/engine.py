@@ -22,8 +22,6 @@ graph's names are read.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -219,8 +217,8 @@ def ancestral_sample(
 
     Every placeholder must be fixed: a default would draw a mixture, not an
     intervention. Rows are exchangeable, so `workers` seeded streams split the
-    work into as many chunks, and the rows depend on `workers` alone; at most
-    one thread per CPU draws the chunks, each into its own rows of one block.
+    rows into as many chunks, drawn in turn on the calling thread into their
+    own rows of one block; the rows depend on `workers` alone.
     """
     if n <= 0:
         raise EngineError("sample count must be positive")
@@ -244,15 +242,8 @@ def ancestral_sample(
     cols = _node_columns(h, rows)
     for name, value in fixed.items():
         cols[name][:] = value
-
-    def chunk(start: int, stop: int, stream: np.random.Generator) -> None:
+    for start, stop, stream in zip(bounds, bounds[1:], streams):
         _draw_nodes(h, rows[start:stop], fixed, stream)
-
-    if workers == 1:
-        chunk(0, n, streams[0])
-    else:
-        with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
-            list(pool.map(chunk, bounds[:-1], bounds[1:], streams))
     return Dataset(variables, rows, frozenset(fixed))
 
 

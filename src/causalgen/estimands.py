@@ -4,8 +4,9 @@ An estimand is a finite expression tree of sums, products, quotients and
 conditional terms. Each conditional term is taken relative to a distribution
 reference: either the observational joint, or a nested estimand describing the
 partially-intervened distribution produced midway through identification.
-Evaluation is exact summation over discrete states, done with dense numpy
-arrays aligned on the observational table's variable axes.
+Evaluation is exact summation over discrete states: each node evaluates to a
+labelled factor with one axis per free variable, and every product and sum is
+one `contract` call.
 """
 
 from __future__ import annotations
@@ -244,76 +245,64 @@ def evaluate_estimand(e: Estimand, obs: DistTable) -> DistTable:
     variable order. For an identification output this means query targets and
     intervention values; each intervention slice sums to one.
     """
-    ev = _Evaluator(obs)
-    array = ev.eval(e)
+    names, array = _Evaluator(obs).eval(e)
     free = free_variables(e)
-    for i, v in enumerate(obs.variables):
-        if v.name not in free and array.shape[i] != 1:
-            raise AssertionError(f"bound variable {v.name} leaked into the result")
+    if set(names) != free:
+        raise AssertionError(f"axes {sorted(names)} are not the free variables {sorted(free)}")
     variables = tuple(v for v in obs.variables if v.name in free)
-    return DistTable(variables, array.reshape(tuple(v.cardinality for v in variables)))
+    return DistTable(variables, contract([(names, array)], [v.name for v in variables]))
 
 
 class _Evaluator:
-    """Evaluates nodes into arrays broadcast over the full observational axes."""
+    """Evaluates each node into a labelled factor: its free variables, in a
+    fixed order, and an array with one axis per name."""
 
     def __init__(self, obs: DistTable):
         self.obs = obs
-        self.axis = {v.name: i for i, v in enumerate(obs.variables)}
-        self.rank = len(obs.variables)
+        self.card = {v.name: v.cardinality for v in obs.variables}
 
-    def eval(self, e: Estimand) -> np.ndarray:
+    def eval(self, e: Estimand) -> tuple[tuple[str, ...], np.ndarray]:
         if isinstance(e, CondTerm):
             return self._cond_term(e)
         if isinstance(e, Product):
-            out = np.ones((1,) * self.rank)
-            for f in e.factors:
-                out = out * self.eval(f)
-            return out
+            factors = [self.eval(f) for f in e.factors]
+            names = tuple(dict.fromkeys(n for labels, _ in factors for n in labels))
+            return names, contract(factors, names)
         if isinstance(e, SumOver):
-            return self._sum_out(self.eval(e.term), e.over)
+            labels, array = self.eval(e.term)
+            # a name the term is constant over still contributes its cardinality
+            scale = 1
+            for n in e.over:
+                if n not in self.card:
+                    raise EvaluationError(f"variable {n!r} not covered by the table")
+                if n not in labels:
+                    scale *= self.card[n]
+            names = tuple(n for n in labels if n not in e.over)
+            return names, contract([(labels, array)], names) * scale
         if isinstance(e, Quotient):
             num = self.eval(e.numerator)
-            den = self.eval(e.denominator)
+            den_names, den = self.eval(e.denominator)
             self._check_positive(den)
-            return num / den
+            names = tuple(dict.fromkeys(num[0] + den_names))
+            return names, contract([num, (den_names, 1.0 / den)], names)
         raise TypeError(f"not an estimand node: {e!r}")
 
-    def _axes(self, names: Iterable[str]) -> tuple[int, ...]:
-        axes = []
-        for n in names:
-            if n not in self.axis:
-                raise EvaluationError(f"variable {n!r} not covered by the table")
-            axes.append(self.axis[n])
-        return tuple(axes)
-
-    def _sum_out(self, array: np.ndarray, names: Iterable[str]) -> np.ndarray:
-        # an axis the term is constant over still contributes its cardinality
-        scale = 1
-        axes = []
-        for n in names:
-            ax = self._axes([n])[0]
-            if array.shape[ax] == 1:
-                scale *= self.obs.variables[ax].cardinality
-            else:
-                axes.append(ax)
-        out = array.sum(axis=tuple(axes), keepdims=True) if axes else array
-        return out * scale if scale != 1 else out
-
-    def _cond_term(self, e: CondTerm) -> np.ndarray:
+    def _cond_term(self, e: CondTerm) -> tuple[tuple[str, ...], np.ndarray]:
         if isinstance(e.ref, Nested):
-            joint = self.eval(e.ref.expr)
+            factor = self.eval(e.ref.expr)
             scope = set(e.ref.over)
         else:
-            joint = self.obs.probs
+            factor = (self.obs.names, self.obs.probs)
             scope = set(self.obs.names)
         missing = (set(e.targets) | set(e.context)) - scope
         if missing:
             raise EvaluationError(f"term references {sorted(missing)} outside its distribution")
-        num = self._sum_out(joint, scope - set(e.targets) - set(e.context))
-        den = self._sum_out(joint, scope - set(e.context))
+        params = tuple(n for n in factor[0] if n not in scope)
+        names = (*params, *e.context, *e.targets)
+        joint = contract([factor], names)
+        den = joint.sum(axis=tuple(range(len(names) - len(e.targets), len(names))), keepdims=True)
         self._check_positive(den)
-        return num / den
+        return names, joint / den
 
     @staticmethod
     def _check_positive(den: np.ndarray):

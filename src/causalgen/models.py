@@ -16,7 +16,8 @@ commas and ended by a newline, as many cells as the header has names. It
 refuses, naming the line, spaces around a cell, a sign, `#` comments, blank
 lines, a lone carriage return, non-ASCII bytes, a wrong field count, an empty
 or longer cell, and a value at or above its sidecar cardinality. The header
-is decoded as UTF-8 (undecodable bytes replaced) and stripped.
+may hold no carriage return but its CRLF line end; it is decoded as UTF-8
+(undecodable bytes replaced) and stripped.
 
 A conditional model maps a full context assignment to a distribution over one
 target variable; it is the single plug-in seam between the network compiler and
@@ -161,11 +162,11 @@ def read_dataset_csv(path: str | Path, sidecar: str | Path | None = None) -> Dat
     if not raw.endswith(b"\n"):
         raw += b"\n"
     start = raw.find(b"\n") + 1
+    if b"\r" in raw[:start]:
+        raise DataError(f"{path}:1: a carriage return inside the header")
     header = raw[:start].decode(errors="replace").strip()
     if not header:
         raise DataError(f"{path}: empty csv")
-    if "\r" in header:
-        raise DataError(f"{path}:1: a carriage return inside the header")
     names = header.split(",")
     repeated = next((n for i, n in enumerate(names) if n in names[:i]), None)
     if repeated is not None:

@@ -146,6 +146,22 @@ class TestSample:
             digests.append(hashlib.sha256(out.with_suffix(".csv").read_bytes()).hexdigest())
         assert digests[0] == digests[1]
 
+    def test_dotted_prefixes_keep_their_files(self, frontdoor_files):
+        # the suffixes are appended to the prefix, so runs.q0.w1 and runs.q0.w2 share no file
+        files = {}
+        for workers in ("1", "2"):
+            out = frontdoor_files / f"runs.q0.w{workers}"
+            code = main(["sample", "--graph", str(frontdoor_files / "frontdoor.graph"),
+                         "--query", str(frontdoor_files / "query.txt"),
+                         "--scm", str(frontdoor_files / "frontdoor.scm"),
+                         "--n", "3000", "--seed", "5", "--workers", workers, "--out", str(out)])
+            assert code == 0
+            files[workers] = [out.parent / (out.name + s) for s in (".csv", ".sidecar.json", ".manifest")]
+        for csv, sidecar, manifest in files.values():
+            assert read_dataset_csv(csv, sidecar).n == 3000 and "kind=exact" in manifest.read_text()
+        assert files["1"][0].read_bytes() != files["2"][0].read_bytes()  # the rows depend on --workers
+        assert not (frontdoor_files / "runs.q0.csv").exists()
+
     def test_conditional_query_sampling(self, tmp_path):
         entry = catalog_entry("backdoor")
         write_scm(entry.scm, tmp_path / "bd.scm", tmp_path / "bd.graph")
@@ -318,6 +334,16 @@ class TestIngressErrors:
                                     "--query", str(frontdoor_files / "query.txt"),
                                     "--data", str(frontdoor_files / "bad.csv"),
                                     "--out", str(frontdoor_files / "o")], fragment)
+
+    # a carriage return at either end of the header, where stripping the header used to hide it
+    @pytest.mark.parametrize("text", ["\r0", "\rX,Y\n0,1\n", "X,Y\r\r\n0,1\n"])
+    def test_sample_refuses_a_carriage_return_in_the_header(self, frontdoor_files, capsys, text):
+        (frontdoor_files / "bad.csv").write_bytes(text.encode())
+        assert_input_error(capsys, ["sample", "--graph", str(frontdoor_files / "frontdoor.graph"),
+                                    "--query", str(frontdoor_files / "query.txt"),
+                                    "--data", str(frontdoor_files / "bad.csv"),
+                                    "--out", str(frontdoor_files / "o")],
+                           "bad.csv:1: a carriage return inside the header")
 
     def test_sample_repeated_csv_column(self, frontdoor_files, capsys):
         (frontdoor_files / "dup.csv").write_text("X,S,R,X\n0,0,0,1\n1,1,1,0\n")

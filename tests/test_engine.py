@@ -3,11 +3,11 @@ from __future__ import annotations
 import itertools
 import os
 import sys
+import threading
 
 import numpy as np
 import pytest
 
-from causalgen import engine
 from causalgen.engine import (
     BuildContext,
     DatasetSource,
@@ -275,34 +275,17 @@ class TestAncestralSampling:
         with pytest.raises(EngineError, match="workers"):
             ancestral_sample(res.network, {"X": 0}, 10, np.random.default_rng(0), workers=workers)
 
-    def test_pool_has_at_most_one_thread_per_cpu(self, monkeypatch):
-        # a serial stand-in records the pool size, so no thread is started
-        sizes = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
+    def test_streams_are_drawn_on_the_calling_thread(self, monkeypatch):
         g = frontdoor_graph()
         net = build_network({"R"}, {"X"}, g, exact_source(g)).network
-        threaded = ancestral_sample(net, {"X": 0}, 999, np.random.default_rng(5), workers=3)
-        monkeypatch.setattr(engine, "ThreadPoolExecutor", SerialPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        serial = ancestral_sample(net, {"X": 0}, 999, np.random.default_rng(5), workers=3)
-        assert np.array_equal(serial.rows, threaded.rows)  # the rows follow the stream count
-        ancestral_sample(net, {"X": 0}, 2000, np.random.default_rng(5), workers=1000)
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        ancestral_sample(net, {"X": 0}, 10, np.random.default_rng(5), workers=4)
-        assert sizes == [2, 2, 1]
+
+        def refuse(thread):
+            raise AssertionError(f"ancestral_sample started the thread {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        drawn = ancestral_sample(net, {"X": 0}, 999, np.random.default_rng(5), workers=3)
+        expected = stacked_reference(net, {"X": 0}, 999, np.random.default_rng(5), workers=3)
+        assert np.array_equal(drawn.rows, expected)
 
     def test_threads_fill_their_own_rows_of_one_block(self, monkeypatch):
         # more threads than cores, switching often: a lost or misplaced chunk write changes the rows

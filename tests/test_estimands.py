@@ -15,7 +15,9 @@ from causalgen.estimands import (
     format_estimand,
     free_variables,
 )
-from causalgen.graphs import Variable
+from causalgen.graphs import Admg, Variable
+from causalgen.identify import identify_conditional_effect, identify_effect
+from conftest import random_admg, random_query
 
 
 def table_2x2():
@@ -113,3 +115,66 @@ class TestFormatting:
     def test_quotient_brackets(self):
         e = Quotient(CondTerm(("Y",), ()), SumOver(("Y",), CondTerm(("Y",), ())))
         assert format_estimand(e) == "[P(y)] / [Σ_{y} P(y)]"
+
+
+def broadcast_reference(e, obs: DistTable) -> DistTable:
+    """`evaluate_estimand` by broadcasting: every node an array over all of the
+    table's axes, of size 1 on those it does not depend on."""
+    axis = {v.name: i for i, v in enumerate(obs.variables)}
+
+    def sum_out(array, names):
+        # an axis the term is constant over still contributes its cardinality
+        scale, axes = 1, []
+        for n in names:
+            if array.shape[axis[n]] == 1:
+                scale *= obs.variables[axis[n]].cardinality
+            else:
+                axes.append(axis[n])
+        return (array.sum(axis=tuple(axes), keepdims=True) if axes else array) * scale
+
+    def ev(e):
+        if isinstance(e, CondTerm):
+            if isinstance(e.ref, Nested):
+                joint, scope = ev(e.ref.expr), set(e.ref.over)
+            else:
+                joint, scope = obs.probs, set(obs.names)
+            num = sum_out(joint, scope - set(e.targets) - set(e.context))
+            return num / sum_out(joint, scope - set(e.context))
+        if isinstance(e, Product):
+            out = np.ones((1,) * len(obs.variables))
+            for f in e.factors:
+                out = out * ev(f)
+            return out
+        if isinstance(e, SumOver):
+            return sum_out(ev(e.term), e.over)
+        return ev(e.numerator) / ev(e.denominator)
+
+    variables = tuple(v for v in obs.variables if v.name in free_variables(e))
+    return DistTable(variables, ev(e).reshape([v.cardinality for v in variables]))
+
+
+class TestAgainstBroadcastReference:
+    def test_random_identifiable_queries(self):
+        rng = np.random.default_rng(1017)
+        checked = conditional = mixed = 0
+        while checked < 300:
+            g = random_admg(rng)
+            if rng.random() < 0.5:
+                cards = rng.integers(2, 4, size=len(g.names))
+                g = Admg([Variable(n, int(c)) for n, c in zip(g.names, cards)], g.directed,
+                         [tuple(p) for p in g.bidirected])
+            y, x = random_query(rng, g)
+            rest = [n for n in g.names if n not in y | x]
+            z = frozenset(n for n in rest if rng.random() < 0.5)
+            result = identify_conditional_effect(y, x, z, g) if z else identify_effect(y, x, g)
+            if not result.identifiable:
+                continue
+            shape = tuple(v.cardinality for v in g.variables)
+            obs = DistTable(g.variables, rng.dirichlet(np.ones(int(np.prod(shape)))).reshape(shape))
+            got, want = evaluate_estimand(result.estimand, obs), broadcast_reference(result.estimand, obs)
+            assert got.names == want.names and got.probs.shape == want.probs.shape
+            assert np.abs(got.probs - want.probs).max() <= 1e-12, format_estimand(result.estimand)
+            checked += 1
+            conditional += bool(z)
+            mixed += any(c > 2 for c in shape)
+        assert conditional >= 100 and mixed >= 100
