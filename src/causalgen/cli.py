@@ -32,7 +32,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (InputError, GraphError, DataError, scm.ScmError, engine.EngineError, OSError) as exc:
+    except (InputError, GraphError, DataError, scm.ScmError, engine.EngineError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -13,16 +13,19 @@ Two interchangeable data sources drive the fits: a finite dataset (CPT fits,
 the end-to-end pipeline) and an exact joint table (exact conditionals, used to
 isolate network correctness from estimation error). The recursion reads a
 source through `fit(target, context)`, `marginal_table(names)` and
-`regenerate(inner, proposal, anchor_names, multiplier, rng)`, which returns
-the step-7 source drawn from the inner network's models. A source is never
-narrowed: it may hold columns the working graph does not name, and only the
-graph's names are read.
+`regenerate(inner, proposal, multiplier, rng)`, which returns the step-7
+source drawn from the inner network's models: the proposal draws its
+placeholders, and the others (the anchors, the intervention history) keep the
+current source's values. A source is never narrowed: it may hold columns the
+working graph does not name, and only the graph's names are read.
+`network_law` is the one definition of a network's distribution.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -247,6 +250,16 @@ def ancestral_sample(
     return Dataset(variables, rows, frozenset(fixed))
 
 
+def network_law(h: SamplingNetwork, inputs: Iterable[DistTable], keep: Sequence[str]) -> DistTable:
+    """The law of `keep` under the network: one `contract` over the `inputs`,
+    tables on its placeholders (point masses at do-values, say), and every
+    model's conditional table. The inputs must cover each placeholder a model reads."""
+    factors = [(t.names, t.probs) for t in inputs]
+    models = [h.nodes[n] for n in h.node_order if h.nodes[n] is not None]
+    factors += [(m.context_names + (m.target.name,), m.conditional_table()) for m in models]
+    return DistTable(tuple(h.variables[n] for n in keep), contract(factors, keep))
+
+
 def _node_columns(h: SamplingNetwork, rows: np.ndarray) -> dict[str, np.ndarray]:
     """The columns of an (n, nodes) block in node order, by node name."""
     return dict(zip(h.node_order, rows.T))
@@ -296,10 +309,6 @@ class DatasetSource:
     def columns(self) -> tuple[str, ...]:
         return self.dataset.names
 
-    @property
-    def intervened(self) -> frozenset[str]:
-        return self.dataset.intervened
-
     def fit(self, target: str, context: Sequence[str]) -> ConditionalModel:
         return fit_conditional(self.dataset, target, context)
 
@@ -308,12 +317,7 @@ class DatasetSource:
         return DistTable(tuple(self.dataset.variable(n) for n in names), smoothed / smoothed.sum())
 
     def regenerate(
-        self,
-        inner: SamplingNetwork,
-        proposal: DistTable,
-        anchor_names: Sequence[str],
-        multiplier: float,
-        rng: np.random.Generator,
+        self, inner: SamplingNetwork, proposal: DistTable, multiplier: float, rng: np.random.Generator
     ) -> DatasetSource:
         # the anchors cycle through the current rows, the proposal's variables are
         # drawn jointly, and every model of `inner` is sampled ancestrally after them
@@ -321,27 +325,22 @@ class DatasetSource:
         variables = tuple(inner.variables[name] for name in inner.node_order)
         rows = empty_rows(variables, n_new)
         cols = _node_columns(inner, rows)
-        for name in anchor_names:
+        for name in _anchor_names(inner, proposal):
             cols[name][:] = np.resize(self.dataset.column(name), n_new)
         _sample_joint(proposal, cols, n_new, rng)
-        _draw_nodes(inner, rows, {*anchor_names, *proposal.names}, rng)
-        return DatasetSource(Dataset(variables, rows, frozenset(inner.empty_nodes())))
+        _draw_nodes(inner, rows, inner.empty_nodes(), rng)
+        return DatasetSource(Dataset(variables, rows))
 
 
 class ExactSource:
     """Exact source: the current joint law as a dense table, no estimation error."""
 
-    def __init__(self, table: DistTable, intervened: frozenset[str] = frozenset()):
+    def __init__(self, table: DistTable):
         self.table = table
-        self._intervened = intervened
 
     @property
     def columns(self) -> tuple[str, ...]:
         return self.table.names
-
-    @property
-    def intervened(self) -> frozenset[str]:
-        return self._intervened
 
     def variable(self, name: str) -> Variable:
         return self.table.variables[self.table.names.index(name)]
@@ -354,22 +353,19 @@ class ExactSource:
         return DistTable(tuple(self.variable(n) for n in names), probs)
 
     def regenerate(
-        self,
-        inner: SamplingNetwork,
-        proposal: DistTable,
-        anchor_names: Sequence[str],
-        multiplier: float,
-        rng: np.random.Generator,
+        self, inner: SamplingNetwork, proposal: DistTable, multiplier: float, rng: np.random.Generator
     ) -> ExactSource:
         # analytic counterpart of sampled regeneration: anchor marginal times
         # proposal times the models of `inner`
-        factors = [(anchor_names, self.marginal_table(anchor_names).probs)] if anchor_names else []
-        factors.append((proposal.names, proposal.probs))
-        order = inner.node_order
-        models = [inner.nodes[n] for n in order if inner.nodes[n] is not None]
-        factors += [(m.context_names + (m.target.name,), m.conditional_table()) for m in models]
-        table = DistTable(tuple(inner.variables[n] for n in order), contract(factors, order))
-        return ExactSource(table, frozenset(inner.empty_nodes()))
+        anchors = _anchor_names(inner, proposal)
+        inputs = [self.marginal_table(anchors)] if anchors else []
+        return ExactSource(network_law(inner, [*inputs, proposal], inner.node_order))
+
+
+def _anchor_names(inner: SamplingNetwork, proposal: DistTable) -> list[str]:
+    """The placeholders of `inner` that regeneration copies from the current
+    source: those the proposal does not draw, i.e. the intervention history."""
+    return [name for name in inner.empty_nodes() if name not in proposal.names]
 
 
 def _sample_joint(table: DistTable, cols: Mapping[str, np.ndarray], n: int, rng: np.random.Generator) -> None:
@@ -386,18 +382,17 @@ def _sample_joint(table: DistTable, cols: Mapping[str, np.ndarray], n: int, rng:
 
 @dataclass(frozen=True)
 class RecursionState:
-    """One level of the compile recursion.
-
-    `g` is the working graph, `g_hat` the same graph with the accumulated
-    partially-applied interventions `x_hat` kept as context nodes with no parents
-    or bidirected edges (so a model needs only its c-factor context). The source
-    has a column for every variable of g_hat and may have more: fits, anchors
-    and proposals take their names from g_hat, so the other columns are never read.
+    """One level of the compile recursion: the query `y` given do(`x`), the data
+    source, and the history graph `g_hat`, which keeps the accumulated
+    partially-applied interventions `x_hat` as context nodes with no parents or
+    bidirected edges (so a model needs only its c-factor context). The working
+    graph `g` is derived: `g_hat` without `x_hat`. The source has a column for
+    every variable of g_hat and may have more: fits, anchors and proposals take
+    their names from g_hat, so the other columns are never read.
     """
 
     y: frozenset[str]
     x: frozenset[str]
-    g: Admg
     source: DatasetSource | ExactSource
     x_hat: frozenset[str]
     g_hat: Admg
@@ -410,8 +405,10 @@ class RecursionState:
             raise EngineError("x_hat must have no parents or bidirected edges in g_hat")
         if not names <= set(self.source.columns):
             raise EngineError("data source must have a column for every variable of g_hat")
-        if self.g_hat.induced_subgraph(names - self.x_hat) != self.g:
-            raise EngineError("g must equal g_hat minus its intervened variables")
+
+    @cached_property
+    def g(self) -> Admg:
+        return self.g_hat.induced_subgraph(set(self.g_hat.names) - self.x_hat)
 
 
 @dataclass
@@ -431,14 +428,8 @@ class BuildContext:
         return fit_conditional_models(frozenset(state.g.names), frozenset(), state, self)
 
     def s2_narrow(self, state: RecursionState, ancestors: frozenset[str]) -> RecursionState:
-        return RecursionState(
-            state.y,
-            state.x & ancestors,
-            state.g.induced_subgraph(ancestors),
-            state.source,
-            state.x_hat,
-            state.g_hat.induced_subgraph(ancestors | state.x_hat),
-        )
+        g_hat = state.g_hat.induced_subgraph(ancestors | state.x_hat)
+        return replace(state, x=state.x & ancestors, g_hat=g_hat)
 
     def s4_combine(self, state: RecursionState, parts: list[SamplingNetwork]) -> SamplingNetwork:
         return merge_networks(parts)
@@ -477,7 +468,7 @@ def build_network(
         raise EngineError(f"unknown proposal {proposal!r}")
     if not (math.isfinite(dprime_mult) and dprime_mult > 0):
         raise EngineError(f"dprime_mult must be finite and positive, got {dprime_mult}")
-    state = RecursionState(y, x, g, source, frozenset(), g)
+    state = RecursionState(y, x, source, frozenset(), g)
     ctx = BuildContext(
         root_order=tuple(g.topological_order()),
         proposal=proposal,
@@ -505,18 +496,14 @@ def fit_conditional_models(
     Each model's context is its `Admg.c_factor_context` in the history graph,
     which gives the law of conditioning on every variable before it."""
     g_hat = state.g_hat
-    variables: dict[str, Variable] = {}
-    nodes: dict[str, ConditionalModel | None] = {}
-    for name in sorted(x | state.x_hat, key=ctx.root_order.index):
-        variables[name] = g_hat.variable(name)
-        nodes[name] = None
+    placeholders = sorted(x | state.x_hat, key=ctx.root_order.index)
+    nodes: dict[str, ConditionalModel | None] = dict.fromkeys(placeholders)
     gh_names = set(g_hat.names)
     order = [n for n in ctx.root_order if n in gh_names]
     for name in order:
         if name in y:
             nodes[name] = state.source.fit(name, g_hat.c_factor_context(order, name))
-            variables[name] = g_hat.variable(name)
-    return SamplingNetwork(variables, nodes, ctx.root_order)
+    return SamplingNetwork({name: g_hat.variable(name) for name in nodes}, nodes, ctx.root_order)
 
 
 def apply_partial_intervention(
@@ -530,14 +517,11 @@ def apply_partial_intervention(
     x_z = state.x - s_prime
     inner = fit_conditional_models(s_prime, x_z, state, ctx)
 
-    x_z_names = sorted(x_z, key=ctx.root_order.index)
-    proposal = proposal_table(ctx.proposal, x_z_names, state.g_hat, state.source)
-    anchor_names = sorted(state.x_hat, key=ctx.root_order.index)
-    source = state.source.regenerate(inner, proposal, anchor_names, ctx.dprime_mult, ctx.rng)
-    new_x_hat = state.x_hat | x_z
-    g_new = state.g.induced_subgraph(s_prime)
-    g_hat_new = state.g_hat.induced_subgraph(new_x_hat | s_prime).remove_incoming(new_x_hat)
-    return RecursionState(state.y, state.x & s_prime, g_new, source, frozenset(new_x_hat), g_hat_new)
+    proposal = proposal_table(ctx.proposal, sorted(x_z, key=ctx.root_order.index), state.g_hat, state.source)
+    source = state.source.regenerate(inner, proposal, ctx.dprime_mult, ctx.rng)
+    x_hat = state.x_hat | x_z
+    g_hat = state.g_hat.induced_subgraph(x_hat | s_prime).remove_incoming(x_hat)
+    return RecursionState(state.y, state.x & s_prime, source, x_hat, g_hat)
 
 
 def proposal_table(
@@ -603,7 +587,7 @@ def build_conditional_sampler(
         raise NotIdentifiable(result.hedge)
     network = result.network
     inputs = proposal_table(proposal, network.empty_nodes(), g, source)
-    train = source.regenerate(network, inputs, (), dprime_mult, rng)
+    train = source.regenerate(network, inputs, dprime_mult, rng)
 
     keep = [n for n in network.node_order if n in y | z | x]
     context = [n for n in keep if n not in y]

@@ -140,7 +140,7 @@ def maximal_rule2_shift(
 def run_id(state, interp, depth: int = 0):
     """One level of the ID recursion (Shpitser & Pearl 2006).
 
-    `state` is a frozen dataclass with fields `y`, `x` and `g` plus the
+    `state` is a frozen dataclass with attributes `y`, `x` and `g` plus the
     interpreter's own payload. The step tests, the trace (appended to
     `interp.trace`) and the step-5 hedge (raised as NotIdentifiable) live here;
     `interp` builds what the steps return: `s1_leaf(state)` and

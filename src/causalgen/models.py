@@ -56,8 +56,12 @@ def row_dtype(variables: Iterable[Variable]) -> np.dtype:
 
 
 def empty_rows(variables: Sequence[Variable], n: int) -> np.ndarray:
-    """An uninitialised (n, variables) block in `Dataset`'s storage layout."""
-    return np.empty((n, len(variables)), dtype=row_dtype(variables), order="F")
+    """An uninitialised (n, variables) block in `Dataset`'s storage layout; past
+    the address space, a MemoryError like numpy's past memory."""
+    dtype = row_dtype(variables)
+    if n * len(variables) * dtype.itemsize > np.iinfo(np.intp).max:
+        raise MemoryError(f"Unable to allocate {n} rows of {len(variables)} variables")
+    return np.empty((n, len(variables)), dtype=dtype, order="F")
 
 
 @dataclass(frozen=True)

@@ -341,6 +341,7 @@ def read_scm(mech_path: str | Path) -> DiscreteScm:
     latents: dict[tuple[str, str], np.ndarray] = {}
     raw_mech: dict[str, list[tuple[tuple[int, ...], int, int]]] = {}
     named: list[tuple[str, int]] = []  # (variable, line) for each name a declaration refers to
+    first: dict[tuple[str, frozenset[str]], int] = {}  # line of each graph, noise and latent declaration
     for lineno, rawline in enumerate(mech_path.read_text().splitlines(), start=1):
         line = rawline.split("#", 1)[0].strip()
         if not line:
@@ -352,20 +353,28 @@ def read_scm(mech_path: str | Path) -> DiscreteScm:
             raise ScmError(f"{where}: unknown declaration {kind!r}")
         if len(fields) < _MIN_FIELDS[kind]:
             raise ScmError(f"{where}: {kind} needs at least {_MIN_FIELDS[kind] - 1} fields")
-        if kind != "graph":
-            named += [(name, lineno) for name in fields[1 : 3 if kind == "latent" else 2]]
+        declared = tuple(fields[1 : {"graph": 1, "latent": 3}.get(kind, 2)])  # the names it is about
+        named += [(name, lineno) for name in declared]
         try:
             if kind == "graph":
                 graph = parse_graph((mech_path.parent / fields[1]).read_text())
-            elif kind == "noise":
-                noise[fields[1]] = np.array([float(f) for f in fields[2:]])
-            elif kind == "latent":
-                latents[(fields[1], fields[2])] = np.array([float(f) for f in fields[3:]])
-            else:
+            elif kind == "mech":
                 idx = tuple(int(f) for f in fields[2:-1])
                 raw_mech.setdefault(fields[1], []).append((idx, int(fields[-1]), lineno))
+            else:
+                probs = np.array([float(f) for f in fields[len(declared) + 1 :]])
+                if not _is_distribution(probs):
+                    raise ValueError(f"bad {kind} distribution for {' '.join(declared)}")
+                if kind == "noise":
+                    noise[declared[0]] = probs
+                else:
+                    latents[declared] = probs
         except (OSError, ValueError) as exc:  # ValueError covers GraphError and bad numbers
             raise ScmError(f"{where}: {exc}") from None
+        if kind != "mech":
+            at = first.setdefault((kind, frozenset(declared)), lineno)
+            if at != lineno:
+                raise ScmError(f"{where}: repeated {' '.join((kind, *declared))} (first at line {at})")
     if graph is None:
         raise ScmError(f"{mech_path}: missing graph declaration")
     known = set(graph.names)

@@ -384,6 +384,22 @@ class TestIngressErrors:
         assert_input_error(capsys, ["gen-data", "--scm", str(frontdoor_files / "frontdoor.scm"), "--n", "10",
                                     "--out", str(frontdoor_files / "no" / "such" / "x.csv")], "No such file")
 
+    @pytest.mark.parametrize("command", ["sample", "gen-data", "eval"])
+    def test_request_past_memory(self, frontdoor_files, capsys, command):
+        # each block needs over 2^57 bytes, more than a 64-bit address space
+        # holds, so it is refused at once, without touching memory
+        files, huge = frontdoor_files, str(10**17)
+        argv = {
+            "sample": ["sample", "--graph", str(files / "frontdoor.graph"), "--query", str(files / "query.txt"),
+                       "--scm", str(files / "frontdoor.scm"), "--n", huge, "--out", str(files / "o")],
+            "gen-data": ["gen-data", "--scm", str(files / "frontdoor.scm"), "--n", huge,
+                         "--out", str(files / "obs.csv")],
+            # 500,000 observational rows times 1e15 overflow numpy's index range
+            "eval": ["eval", "--catalog", "frontdoor", "--dprime-mult", "1e15"],
+        }[command]
+        assert_input_error(capsys, argv, "Unable to allocate")
+        assert not list(files.glob("o.*")) and not (files / "obs.csv").exists()
+
     def test_sample_data_cardinality_mismatch(self, tmp_path, capsys):
         # S has 3 states in the graph, but the csv (no sidecar) only shows 0 and 1
         g = admg([("X", 2), ("S", 3), ("R", 2)], [("X", "S"), ("S", "R")], [("X", "R")])

@@ -295,6 +295,12 @@ class TestSerialization:
             ("noise Z 0.5 0.5", "fd.scm:3"),
             ("mech Z 0 1", "fd.scm:3"),
             ("latent X Q 0.5 0.5", "fd.scm:3"),
+            ("latent X R 0.5 nan", "fd.scm:3: bad latent distribution"),
+            # a second declaration of the graph, a noise or a latent pair, in either order
+            ("graph fd.graph", r"fd.scm:3: repeated graph \(first at line 1\)"),
+            ("noise X 0.2 0.4 0.4", r"fd.scm:3: repeated noise X \(first at line 2\)"),
+            ("latent X R 0.5 0.5", r"fd.scm:6: repeated latent X R \(first at line 3\)"),
+            ("latent R X 0.5 0.5", r"fd.scm:6: repeated latent X R \(first at line 3\)"),
         ],
     )
     def test_malformed_line(self, tmp_path, line, match):
