@@ -372,9 +372,14 @@ def _sample_joint(table: DistTable, cols: Mapping[str, np.ndarray], n: int, rng:
     """Draw n joint states of `table`'s variables into their columns of `cols`."""
     if not table.variables:  # a proposal over no variables fixes nothing
         return
-    flat = draw_categorical(table.probs.reshape(1, -1), np.zeros(n, dtype=np.int64), rng)
-    for v, states in zip(table.variables, np.unravel_index(flat, table.probs.shape)):
-        cols[v.name][:] = states
+    flat = draw_categorical(table.probs.ravel(), (), n, rng)
+    # the row-major unravel, last variable first, in place on the narrow draws; what
+    # is left is the first variable's state (whose cardinality may not fit the dtype)
+    first, *rest = table.variables
+    for v in reversed(rest):
+        np.remainder(flat, v.cardinality, out=cols[v.name], casting="unsafe")
+        flat //= v.cardinality
+    cols[first.name][:] = flat
 
 
 # -- the recursion ------------------------------------------------------------------

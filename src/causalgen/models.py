@@ -133,6 +133,7 @@ class Dataset:
 CSV_CHUNK_ROWS = 1 << 16  # bounds the temporary values and text of one write
 CSV_CHUNK_BYTES = 1 << 16  # bounds the temporary arrays of one read
 CSV_MAX_DIGITS = 18  # every 18-digit cell fits int64
+DRAW_CHUNK_ROWS = 1 << 16  # bounds the temporary uniforms and indices of one draw
 
 
 def write_dataset_csv(d: Dataset, path: str | Path, sidecar: str | Path | None = None):
@@ -319,9 +320,7 @@ class ConditionalModel:
         missing = [v.name for v in self.context if v.name not in ctx_cols]
         if missing:
             raise DataError(f"missing context columns {missing} for {self.target.name}")
-        cards = [v.cardinality for v in self.context]
-        rows = joint_index([ctx_cols[v.name] for v in self.context], cards, n)
-        return draw_categorical(self.conditional_table().reshape(-1, self.target.cardinality), rows, rng)
+        return draw_categorical(self.conditional_table(), [ctx_cols[v.name] for v in self.context], n, rng)
 
 
 def joint_index(columns: Sequence[np.ndarray], cards: Sequence[int], n: int) -> np.ndarray:
@@ -329,28 +328,36 @@ def joint_index(columns: Sequence[np.ndarray], cards: Sequence[int], n: int) -> 
     return np.ravel_multi_index(tuple(columns), tuple(cards)) if cards else np.zeros(n, dtype=np.int64)
 
 
-def draw_categorical(table: np.ndarray, rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One inverse-CDF draw per entry of `rows`, from that row of the (contexts x
-    states) `table`: how many of the row's cumulative probabilities, the last one
-    excluded, a uniform exceeds, found by a branchless binary search in log2(k)
-    gathers per draw (comparing with every threshold would cost k)."""
-    k = table.shape[1]
+def draw_categorical(table: np.ndarray, context: Sequence[np.ndarray], n: int,
+                     rng: np.random.Generator) -> np.ndarray:
+    """One inverse-CDF draw for each of n rows, from the row of `table`, shaped
+    (context cardinalities..., states), that the row's `context` columns pick:
+    how many of that row's cumulative probabilities, the last one excluded, a
+    uniform exceeds, found by a branchless binary search in log2(k) gathers per
+    draw (comparing with every threshold would cost k). The states come in the
+    narrowest unsigned dtype, uint8 for k <= 256. Rows are drawn a chunk at a
+    time, the search running in place on the chunk's slice of the result, so no
+    temporary has n entries; the chunks' uniforms are the stream of one
+    `rng.random(n)`."""
+    *cards, k = table.shape
     width = 1 << (k - 1).bit_length()
     # row r holds its thresholds at r * width + 1 ..., padded with +inf; slot 0 is unused
-    thresholds = np.full((table.shape[0], width), np.inf)
-    thresholds[:, 1:k] = np.cumsum(table[:, :-1], axis=1)
+    thresholds = np.full((math.prod(cards), width), np.inf)
+    thresholds[:, 1:k] = np.cumsum(table.reshape(-1, k)[:, :-1], axis=1)
     thresholds = thresholds.ravel()
-    u = rng.random(len(rows))
-    # row start plus the count so far; with one row `rows` is not read
-    pos = rows * width if table.shape[0] > 1 else np.zeros(len(rows), dtype=np.int64)
-    probe = np.empty_like(pos)  # reused: a fresh index array per pass costs twice the time at k = 300
-    step = width // 2
-    while step:
-        np.add(pos, step, out=probe)
-        pos += step * (u > thresholds[probe])
-        step //= 2
-    pos &= width - 1
-    return pos
+    states = np.zeros(n, dtype=np.min_scalar_type(width - 1))
+    # in the states' dtype, so that no pass widens a chunk
+    steps = [states.dtype.type(width >> b) for b in range(1, width.bit_length())]
+    probe = np.empty(min(n, DRAW_CHUNK_ROWS), dtype=np.intp)  # a flat index gathers twice as fast as a 2-D one
+    for start in range(0, n, DRAW_CHUNK_ROWS):
+        stop = min(start + DRAW_CHUNK_ROWS, n)
+        u = rng.random(stop - start)
+        row = np.ravel_multi_index([c[start:stop] for c in context], cards) * width if context else 0
+        state, at = states[start:stop], probe[: stop - start]
+        for step in steps:
+            np.add(row, state + step, out=at)
+            state += step * (u > thresholds[at])
+    return states
 
 
 def _check_table(model: CptModel | ExactConditionalModel) -> None:

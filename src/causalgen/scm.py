@@ -87,12 +87,11 @@ def sample_observational(m: DiscreteScm, n: int, rng: np.random.Generator) -> Da
     if n <= 0:
         raise ScmError("sample count must be positive")
     g = m.graph
-    row0 = np.zeros(n, dtype=np.int64)
-    noise = {name: draw_categorical(m.noise[name][None], row0, rng) for name in g.names}
-    latents = {pair: draw_categorical(m.latents[pair][None], row0, rng) for pair in g.latent_pairs()}
+    rows = empty_rows(g.variables, n)  # first, so a request past memory is refused before any draw
+    noise = {name: draw_categorical(m.noise[name], (), n, rng) for name in g.names}
+    latents = {pair: draw_categorical(m.latents[pair], (), n, rng) for pair in g.latent_pairs()}
     order = g.topological_order()
     last = {pair: max(pair, key=order.index) for pair in latents}
-    rows = empty_rows(g.variables, n)
     values = dict(zip(g.names, rows.T))
     for name in order:
         index = [values[p] for p in g.parents(name)] + [noise.pop(name)]

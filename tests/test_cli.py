@@ -384,18 +384,26 @@ class TestIngressErrors:
         assert_input_error(capsys, ["gen-data", "--scm", str(frontdoor_files / "frontdoor.scm"), "--n", "10",
                                     "--out", str(frontdoor_files / "no" / "such" / "x.csv")], "No such file")
 
-    @pytest.mark.parametrize("command", ["sample", "gen-data", "eval"])
+    @pytest.mark.parametrize("command", ["sample", "gen-data", "gen-data-2e18", "gen-data-1e19", "eval", "eval-obs-n"])
     def test_request_past_memory(self, frontdoor_files, capsys, command):
         # each block needs over 2^57 bytes, more than a 64-bit address space
-        # holds, so it is refused at once, without touching memory
-        files, huge = frontdoor_files, str(10**17)
+        # holds, so it is refused at once, without touching memory; 2e18 rows of
+        # uint8 data pass the address-space check and fail in the allocator,
+        # 1e19 rows exceed numpy's index range
+        files = frontdoor_files
+
+        def gen_data(n):
+            return ["gen-data", "--scm", str(files / "frontdoor.scm"), "--n", str(n), "--out", str(files / "obs.csv")]
+
         argv = {
             "sample": ["sample", "--graph", str(files / "frontdoor.graph"), "--query", str(files / "query.txt"),
-                       "--scm", str(files / "frontdoor.scm"), "--n", huge, "--out", str(files / "o")],
-            "gen-data": ["gen-data", "--scm", str(files / "frontdoor.scm"), "--n", huge,
-                         "--out", str(files / "obs.csv")],
+                       "--scm", str(files / "frontdoor.scm"), "--n", str(10**17), "--out", str(files / "o")],
+            "gen-data": gen_data(10**17),
+            "gen-data-2e18": gen_data(2 * 10**18),
+            "gen-data-1e19": gen_data(10**19),
             # 500,000 observational rows times 1e15 overflow numpy's index range
             "eval": ["eval", "--catalog", "frontdoor", "--dprime-mult", "1e15"],
+            "eval-obs-n": ["eval", "--catalog", "frontdoor", "--obs-n", str(10**19)],
         }[command]
         assert_input_error(capsys, argv, "Unable to allocate")
         assert not list(files.glob("o.*")) and not (files / "obs.csv").exists()

@@ -17,6 +17,7 @@ from causalgen.engine import (
     QuerySpec,
     RecursionState,
     SamplingNetwork,
+    _sample_joint,
     ancestral_sample,
     apply_partial_intervention,
     build_conditional_sampler,
@@ -32,7 +33,7 @@ from causalgen.engine import (
 from causalgen.estimands import DistTable, evaluate_estimand
 from causalgen.graphs import Admg, GraphError, Variable
 from causalgen.identify import identify_conditional_effect, identify_effect, maximal_rule2_shift
-from causalgen.models import CptModel, Dataset, ExactConditionalModel
+from causalgen.models import CptModel, Dataset, ExactConditionalModel, draw_categorical
 from causalgen.scm import (
     catalog,
     catalog_entry,
@@ -715,3 +716,24 @@ class TestConditionalSampler:
                 emp = empirical_distribution(draws, ["I"])
                 worst = max(worst, tvd(emp, table.fix({"V": v, "A": a})))
         assert worst <= 0.03  # the bound of acceptance criterion C7
+
+
+class TestSampleJoint:
+    # 256 states fill uint8, so a lone variable's cardinality does not fit the draws' dtype
+    @pytest.mark.parametrize("cards", [(3, 2, 5), (256,)])
+    def test_columns_unravel_the_flat_draw(self, cards):
+        variables = tuple(Variable(f"V{i}", c) for i, c in enumerate(cards))
+        probs = np.random.default_rng(4).dirichlet(np.ones(np.prod(cards))).reshape(cards)
+        n = 50_000
+        rows = np.empty((n, len(cards)), dtype=np.min_scalar_type(max(cards) - 1), order="F")
+        cols = {v.name: col for v, col in zip(variables, rows.T)}
+        _sample_joint(DistTable(variables, probs), cols, n, np.random.default_rng(9))
+        flat = draw_categorical(probs.ravel(), (), n, np.random.default_rng(9))
+        for v, states in zip(variables, np.unravel_index(flat, cards)):
+            assert np.array_equal(cols[v.name], states)
+
+    def test_no_variables_consume_no_uniforms(self):
+        rng = np.random.default_rng(5)
+        before = rng.bit_generator.state
+        _sample_joint(DistTable((), np.ones(())), {}, 100, rng)
+        assert rng.bit_generator.state == before

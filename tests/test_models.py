@@ -13,6 +13,7 @@ from causalgen.graphs import Admg, Variable
 from causalgen.models import (
     CSV_CHUNK_ROWS,
     CptModel,
+    DRAW_CHUNK_ROWS,
     DataError,
     Dataset,
     ExactConditionalModel,
@@ -372,10 +373,13 @@ class TestSampling:
 
 def gather_reference(table, rows, rng):
     """Inverse CDF by comparing the uniform with every cumulative probability
-    of its row, as `ConditionalModel.sample_n` drew before the binary search."""
+    of its row, as `ConditionalModel.sample_n` drew before the binary search;
+    one `rng.random(n)`, compared a block of rows at a time to bound memory."""
     cdf = np.cumsum(table, axis=1)
     u = rng.random(len(rows))
-    return np.clip((u[:, None] > cdf[rows]).sum(axis=1), 0, table.shape[1] - 1)
+    blocks = range(0, len(rows), 10_000)
+    counts = np.concatenate([(u[i : i + 10_000, None] > cdf[rows[i : i + 10_000]]).sum(axis=1) for i in blocks])
+    return np.clip(counts, 0, table.shape[1] - 1)
 
 
 class TestDrawCategorical:
@@ -387,11 +391,27 @@ class TestDrawCategorical:
         table = gen.dirichlet(np.ones(k), size=contexts)
         table[:, 1::4] = 0.0  # states that must never be drawn
         table /= table.sum(axis=1, keepdims=True)
-        rows = gen.integers(0, contexts, size=20_000)
-        expected = gather_reference(table, rows, np.random.default_rng(7))
-        drawn = draw_categorical(table, rows, np.random.default_rng(7))
-        assert drawn.dtype == np.int64
-        assert np.array_equal(drawn, expected)
+        # 20,000 rows fit one chunk; the others end on a chunk seam, or cross two
+        for n in (20_000, DRAW_CHUNK_ROWS, 2 * DRAW_CHUNK_ROWS + 3):
+            rows = gen.integers(0, contexts, size=n)
+            expected = gather_reference(table, rows, np.random.default_rng(7))
+            drawn = draw_categorical(table, [rows], n, np.random.default_rng(7))
+            assert drawn.dtype == np.min_scalar_type(k - 1)
+            assert np.array_equal(drawn, expected), n
+
+    def test_allocates_no_row_sized_temporary(self):
+        # an int64 temporary of the rows alone would take 8 MB
+        gen = np.random.default_rng(3)
+        table = gen.dirichlet(np.ones(3), size=12)
+        context = [gen.integers(0, 12, size=1_000_000).astype(np.uint8)]
+        tracemalloc.start()
+        try:
+            drawn = draw_categorical(table, context, 1_000_000, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert drawn.nbytes == 1_000_000
+        assert peak <= drawn.nbytes + (4 << 20)
 
 
 class TestExactConditional:
