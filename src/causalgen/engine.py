@@ -38,6 +38,7 @@ from .models import (
     CptModel,
     Dataset,
     ExactConditionalModel,
+    check_address_space,
     draw_categorical,
     empty_rows,
     exact_conditional,
@@ -539,7 +540,9 @@ def proposal_table(
         return source.marginal_table(names)
     variables = tuple(g.variable(n) for n in names)
     shape = tuple(v.cardinality for v in variables)
-    return DistTable(variables, np.full(shape, 1.0 / math.prod(shape)))
+    cells = math.prod(shape)
+    check_address_space(cells * np.dtype(float).itemsize, f"a proposal of {cells} cells over {len(names)} variables")
+    return DistTable(variables, np.full(shape, 1.0 / cells))
 
 
 # -- sampling a finished network ------------------------------------------------------

@@ -28,6 +28,7 @@ conditionals extracted from a known joint.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -55,13 +56,34 @@ def row_dtype(variables: Iterable[Variable]) -> np.dtype:
     return dtype
 
 
+_INTP_MAX = int(np.iinfo(np.intp).max)  # looked up once: `np.iinfo` costs microseconds a call
+
+
+def check_address_space(size: int, what: str) -> None:
+    """Refuse a block of `size` bytes, or an index as large as `size`, that
+    intp cannot address, as a MemoryError like numpy's past memory (numpy
+    itself would fail with a ValueError)."""
+    if size > _INTP_MAX:
+        raise MemoryError(f"Unable to allocate {what}")
+
+
 def empty_rows(variables: Sequence[Variable], n: int) -> np.ndarray:
     """An uninitialised (n, variables) block in `Dataset`'s storage layout; past
-    the address space, a MemoryError like numpy's past memory."""
+    the address space, a MemoryError."""
     dtype = row_dtype(variables)
-    if n * len(variables) * dtype.itemsize > np.iinfo(np.intp).max:
-        raise MemoryError(f"Unable to allocate {n} rows of {len(variables)} variables")
+    check_address_space(n * len(variables) * dtype.itemsize, f"{n} rows of {len(variables)} variables")
     return np.empty((n, len(variables)), dtype=dtype, order="F")
+
+
+def _check_states(v: Variable, col: np.ndarray) -> None:
+    """Refuse a column of `v` that is not integers or holds a value outside
+    [0, cardinality). The extremes are read through argmax and argmin, whose
+    set-up costs a third of a reduction's on a short column."""
+    kind = col.dtype.kind
+    if kind not in "iu":
+        raise DataError(f"column {v.name} must hold integers, not {col.dtype}")
+    if len(col) and (col.item(col.argmax()) >= v.cardinality or (kind == "i" and col.item(col.argmin()) < 0)):
+        raise DataError(f"column {v.name} has values outside [0, {v.cardinality})")
 
 
 @dataclass(frozen=True)
@@ -84,17 +106,14 @@ class Dataset:
             raise DataError(f"rows shape {rows.shape} does not match {len(self.variables)} variables")
         if rows.dtype.kind not in "iu":
             raise DataError(f"rows must hold integers, not {rows.dtype}")
-        signed = rows.dtype.kind == "i"
         for i, v in enumerate(self.variables):
-            col = rows[:, i]
-            if len(col) and ((signed and col.min() < 0) or col.max() >= v.cardinality):
-                raise DataError(f"column {v.name} has values outside [0, {v.cardinality})")
+            _check_states(v, rows[:, i])
         unknown = self.intervened - {v.name for v in self.variables}
         if unknown:
             raise DataError(f"intervened columns {sorted(unknown)} are not dataset variables")
         object.__setattr__(self, "rows", np.asarray(rows, dtype=row_dtype(self.variables), order="F"))
 
-    @property
+    @functools.cached_property  # every `column` lookup reads it
     def names(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.variables)
 
@@ -114,8 +133,10 @@ class Dataset:
     def counts(self, names: Sequence[str]) -> np.ndarray:
         """Joint counts of the named columns, shaped by their cardinalities."""
         cards = [self.variable(n).cardinality for n in names]
+        cells = math.prod(cards)
+        check_address_space(cells * np.dtype(np.intp).itemsize, f"counts of {cells} cells")
         idx = joint_index([self.column(n) for n in names], cards, self.n)
-        return np.bincount(idx, minlength=math.prod(cards)).reshape(cards)
+        return np.bincount(idx, minlength=cells).reshape(cards)
 
     def restrict(self, keep: Iterable[str]) -> Dataset:
         keep = set(keep)
@@ -317,15 +338,56 @@ class ConditionalModel:
         return int(self.sample_n(cols, 1, rng)[0])
 
     def sample_n(self, ctx_cols: Mapping[str, np.ndarray], n: int, rng: np.random.Generator) -> np.ndarray:
+        """n draws, row i given the i-th value of each context column; a column
+        that is missing or leaves its cardinality is refused, once per call."""
         missing = [v.name for v in self.context if v.name not in ctx_cols]
         if missing:
             raise DataError(f"missing context columns {missing} for {self.target.name}")
-        return draw_categorical(self.conditional_table(), [ctx_cols[v.name] for v in self.context], n, rng)
+        columns = [ctx_cols[v.name] for v in self.context]
+        for v, col in zip(self.context, columns):
+            _check_states(v, col)
+        return draw_categorical(self.conditional_table(), columns, n, rng)
 
 
 def joint_index(columns: Sequence[np.ndarray], cards: Sequence[int], n: int) -> np.ndarray:
-    """Row-major flat index of n joint assignments, one column per variable."""
-    return np.ravel_multi_index(tuple(columns), tuple(cards)) if cards else np.zeros(n, dtype=np.int64)
+    """Row-major flat index of n joint assignments, one column per variable,
+    by Horner's rule, ((c0 * k1 + c1) * k2 + c2) ..., in place in one array of
+    the narrowest unsigned dtype that holds every cell (uint8 up to 256 cells,
+    intp past 2^32).
+    Every column must lie within its cardinality: nothing here checks it.
+    `Dataset` validates its columns, drawn states hold it by construction, and
+    `ConditionalModel.sample_n` checks the columns it is given. A joint past
+    the index range is refused by `check_address_space`."""
+    cells = math.prod(cards)
+    check_address_space(cells - 1, f"an index into a joint of {cells} cells")
+    index = np.empty(n, dtype=_unsigned((cells - 1).bit_length()))
+    if 1 in cards:
+        # a one-state column is all zeros; without it, every factor after the
+        # first is at most half the cells, so it fits the index's dtype
+        kept = [i for i, card in enumerate(cards) if card > 1]
+        columns, cards = [columns[i] for i in kept], [cards[i] for i in kept]
+    return _ravel_into(index, columns, cards)
+
+
+def _ravel_into(index: np.ndarray, columns: Sequence[np.ndarray], cards: Sequence[int]) -> np.ndarray:
+    """Write the row-major flat index of `columns` into `index` by Horner's
+    rule, in place; each factor must fit `index`'s dtype."""
+    if not columns:
+        index[...] = 0
+        return index
+    np.copyto(index, columns[0], casting="unsafe")
+    for col, card in zip(columns[1:], cards[1:]):
+        index *= card
+        np.add(index, col, out=index, casting="unsafe")
+    return index
+
+
+@functools.cache
+def _unsigned(bits: int) -> np.dtype:
+    """The narrowest unsigned dtype of at least `bits` bits, or past 32 bits
+    the intp that `np.bincount` and `np.take` read without a cast; remembered,
+    since `np.min_scalar_type` costs a tenth of a 256-row draw."""
+    return np.min_scalar_type((1 << bits) - 1) if bits <= 32 else np.dtype(np.intp)
 
 
 def draw_categorical(table: np.ndarray, context: Sequence[np.ndarray], n: int,
@@ -338,25 +400,38 @@ def draw_categorical(table: np.ndarray, context: Sequence[np.ndarray], n: int,
     narrowest unsigned dtype, uint8 for k <= 256. Rows are drawn a chunk at a
     time, the search running in place on the chunk's slice of the result, so no
     temporary has n entries; the chunks' uniforms are the stream of one
-    `rng.random(n)`."""
+    `rng.random(n)`. A chunk's table rows are its context's joint index, by
+    the Horner's rule of `joint_index`, written into a reused intp buffer; the
+    context must lie within its cardinalities."""
     *cards, k = table.shape
     width = 1 << (k - 1).bit_length()
     # row r holds its thresholds at r * width + 1 ..., padded with +inf; slot 0 is unused
     thresholds = np.full((math.prod(cards), width), np.inf)
-    thresholds[:, 1:k] = np.cumsum(table.reshape(-1, k)[:, :-1], axis=1)
+    np.add.accumulate(table.reshape(-1, k)[:, :-1], axis=1, out=thresholds[:, 1:k])
     thresholds = thresholds.ravel()
-    states = np.zeros(n, dtype=np.min_scalar_type(width - 1))
-    # in the states' dtype, so that no pass widens a chunk
-    steps = [states.dtype.type(width >> b) for b in range(1, width.bit_length())]
-    probe = np.empty(min(n, DRAW_CHUNK_ROWS), dtype=np.intp)  # a flat index gathers twice as fast as a 2-D one
+    dtype = _unsigned((width - 1).bit_length())
+    states = np.empty(n, dtype=dtype)
+    # the chunk's row indices, and the probe: a flat index gathers twice as fast as a 2-D one
+    rows, probe = np.empty((2, min(n, DRAW_CHUNK_ROWS)), dtype=np.intp)
+    row = 0  # without a context every draw reads row 0
     for start in range(0, n, DRAW_CHUNK_ROWS):
         stop = min(start + DRAW_CHUNK_ROWS, n)
         u = rng.random(stop - start)
-        row = np.ravel_multi_index([c[start:stop] for c in context], cards) * width if context else 0
         state, at = states[start:stop], probe[: stop - start]
-        for step in steps:
-            np.add(row, state + step, out=at)
-            state += step * (u > thresholds[at])
+        if context:
+            row = _ravel_into(rows[: stop - start], [c[start:stop] for c in context], cards)
+        # the first level starts from state 0, so it reads slot `step` of each row
+        # through a strided view, and writes the state (k = 1 reads slot 0, +inf)
+        step = width >> 1
+        np.greater(u, thresholds[step::width][row], out=state)
+        if step > 1:
+            state *= step
+            row *= width
+        while step > 1:
+            step >>= 1
+            # a view that starts `step` slots on reads row * width + state + step
+            index = np.add(row, state, out=at)
+            state += dtype.type(step) * (u > thresholds[step:][index])
     return states
 
 

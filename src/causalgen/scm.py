@@ -24,7 +24,7 @@ import numpy as np
 
 from .estimands import DistTable, Factor, contract
 from .graphs import Admg, Variable, format_graph, parse_graph
-from .models import DataError, Dataset, draw_categorical, empty_rows
+from .models import DRAW_CHUNK_ROWS, DataError, Dataset, draw_categorical, empty_rows, joint_index
 
 ENUMERATION_BUDGET = 10_000_000
 
@@ -83,7 +83,10 @@ def _is_distribution(probs: np.ndarray) -> bool:
 
 def sample_observational(m: DiscreteScm, n: int, rng: np.random.Generator) -> Dataset:
     """Draw exogenous values independently per row and push through the mechanisms,
-    dropping each noise or latent column once its last variable is computed."""
+    dropping each noise or latent column once its last variable is computed. A
+    variable's states are read from its flattened mechanism at the `joint_index`
+    of (parents, noise, latents), `DRAW_CHUNK_ROWS` rows at a time, since
+    `np.take` casts its index to intp."""
     if n <= 0:
         raise ScmError("sample count must be positive")
     g = m.graph
@@ -94,11 +97,16 @@ def sample_observational(m: DiscreteScm, n: int, rng: np.random.Generator) -> Da
     last = {pair: max(pair, key=order.index) for pair in latents}
     values = dict(zip(g.names, rows.T))
     for name in order:
-        index = [values[p] for p in g.parents(name)] + [noise.pop(name)]
-        index.extend(latents.pop(p) if last[p] == name else latents[p] for p in m.incident_latents(name))
-        # the mechanism's states fit the column's dtype, so the gather writes no int64 copy
-        values[name][:] = m.mechanisms[name].astype(rows.dtype)[tuple(index)]
-        del index  # its noise column, and a latent read for the last time, go now
+        inputs = [values[p] for p in g.parents(name)] + [noise.pop(name)]
+        inputs.extend(latents.pop(p) if last[p] == name else latents[p] for p in m.incident_latents(name))
+        mech = m.mechanisms[name]
+        # the mechanism's states fit the column's dtype, so the take writes no int64 copy
+        flat, out = mech.astype(rows.dtype).ravel(), values[name]
+        for start in range(0, n, DRAW_CHUNK_ROWS):
+            stop = min(start + DRAW_CHUNK_ROWS, n)
+            index = joint_index([c[start:stop] for c in inputs], mech.shape, stop - start)
+            np.take(flat, index, out=out[start:stop])
+        del inputs  # its noise column, and a latent read for the last time, go now
     return Dataset(g.variables, rows)
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from causalgen.cli import main
@@ -407,6 +408,21 @@ class TestIngressErrors:
         }[command]
         assert_input_error(capsys, argv, "Unable to allocate")
         assert not list(files.glob("o.*")) and not (files / "obs.csv").exists()
+
+    @pytest.mark.parametrize("proposal, n", [("uniform", 66), ("marginal", 66), ("marginal", 62)])
+    def test_step7_proposal_past_the_address_space(self, tmp_path, capsys, proposal, n):
+        # V0 -> ... -> V(n-1) with V0 <-> V(n-1): step 7 draws n - 2 binary variables
+        # jointly, 2^64 (or 2^60) cells, whose dense table no address space holds
+        names = [f"V{i}" for i in range(n)]
+        g = admg(" ".join(names), list(zip(names, names[1:])), [(names[0], names[-1])])
+        (tmp_path / "g.graph").write_text(format_graph(g))
+        (tmp_path / "q.txt").write_text(f"target={names[-1]}\ndo=V0=1\n")
+        rows = np.random.default_rng(0).integers(0, 2, size=(200, n))
+        (tmp_path / "obs.csv").write_text(",".join(names) + "\n" + "".join(",".join(map(str, r)) + "\n" for r in rows))
+        assert_input_error(capsys, ["sample", "--graph", str(tmp_path / "g.graph"), "--query", str(tmp_path / "q.txt"),
+                                    "--data", str(tmp_path / "obs.csv"), "--proposal", proposal,
+                                    "--out", str(tmp_path / "o")], "Unable to allocate")
+        assert not list(tmp_path.glob("o.*"))
 
     def test_sample_data_cardinality_mismatch(self, tmp_path, capsys):
         # S has 3 states in the graph, but the csv (no sidecar) only shows 0 and 1

@@ -20,6 +20,7 @@ from causalgen.models import (
     draw_categorical,
     exact_conditional,
     fit_conditional,
+    joint_index,
     read_dataset_csv,
     _read_sidecar,
     write_dataset_csv,
@@ -412,6 +413,95 @@ class TestDrawCategorical:
             tracemalloc.stop()
         assert drawn.nbytes == 1_000_000
         assert peak <= drawn.nbytes + (4 << 20)
+
+
+class TestJointIndex:
+    # each cardinality alone and beside others, in every column dtype that holds its states
+    @pytest.mark.parametrize(
+        "card, dtype",
+        [(card, dtype) for card in (2, 3, 255, 256, 257, 70_000) for dtype in (np.uint8, np.uint16, np.int64)
+         if card - 1 <= np.iinfo(dtype).max],
+    )
+    def test_matches_ravel_multi_index(self, card, dtype):
+        gen = np.random.default_rng(card)
+        for cards in [(card,), (card, 3), (3, card), (2, card, 3)]:
+            columns = [gen.integers(0, k, size=1000).astype(dtype) for k in cards]
+            columns[0][:2] = 0, cards[0] - 1  # both ends of a column
+            index = joint_index(columns, cards, 1000)
+            cells = int(np.prod(cards))
+            assert index.dtype == np.min_scalar_type(cells - 1), cards
+            assert np.array_equal(index, np.ravel_multi_index(columns, cards)), cards
+
+    @pytest.mark.parametrize(
+        "cards, dtype",
+        [
+            ((256,), np.uint8),
+            ((16, 16), np.uint8),
+            ((257,), np.uint16),
+            ((2, 128, 1), np.uint8),  # a one-state column adds nothing
+            ((1, 256), np.uint8),
+            ((256, 256), np.uint16),
+            ((65_536,), np.uint16),
+            ((2, 32_768, 1), np.uint16),
+            ((65_537,), np.uint32),
+            ((2**16, 2**16), np.uint32),
+            ((2**16, 2**16, 2), np.intp),  # past 32 bits, the index is intp
+        ],
+    )
+    def test_dtype_seams(self, cards, dtype):
+        gen = np.random.default_rng(len(cards))
+        columns = [gen.integers(0, k, size=4000, dtype=np.int64) for k in cards]
+        for col, k in zip(columns, cards):
+            col[:2] = 0, k - 1
+        index = joint_index(columns, cards, 4000)
+        assert index.dtype == dtype
+        assert np.array_equal(index, np.ravel_multi_index(columns, cards))
+
+    def test_no_columns_and_no_rows(self):
+        assert np.array_equal(joint_index([], [], 5), np.zeros(5))
+        empty = joint_index([np.zeros(0, np.uint8), np.zeros(0, np.int64)], [2, 300], 0)
+        assert empty.shape == (0,) and empty.dtype == np.uint16
+
+    @pytest.mark.parametrize("cards", [(2**32, 2**32), (2**63 + 1,), (2,) * 64])
+    def test_refuses_a_joint_past_the_index_range(self, cards):
+        # min_scalar_type(2**64 - 1) is uint64, but numpy indexes with intp; one cell past it is an object dtype
+        columns = [np.zeros(3, np.uint8) for _ in cards]
+        with pytest.raises(MemoryError, match="Unable to allocate"):
+            joint_index(columns, cards, 3)
+
+
+class TestContextRefusals:
+    def model(self):
+        return CptModel(Variable("Y", 2), (Variable("X", 2), Variable("Z", 3)), np.full((2, 3, 2), 0.5))
+
+    @pytest.mark.parametrize(
+        "column, values",
+        [("X", [0, -1]), ("X", [2, 0]), ("Z", [3, 1]), ("Z", [-5, 0]), ("Z", [2**40, 0])],
+    )
+    def test_sample_n_names_the_column(self, column, values):
+        ctx = {"X": np.array([0, 1]), "Z": np.array([2, 0])}
+        ctx[column] = np.array(values, dtype=np.int64)
+        with pytest.raises(DataError, match=f"column {column} has values outside"):
+            self.model().sample_n(ctx, 2, np.random.default_rng(0))
+
+    def test_sample_n_refuses_an_unsigned_column_at_its_cardinality(self):
+        ctx = {"X": np.array([1, 2], dtype=np.uint8), "Z": np.array([2, 0], dtype=np.uint8)}
+        with pytest.raises(DataError, match=r"column X has values outside \[0, 2\)"):
+            self.model().sample_n(ctx, 2, np.random.default_rng(0))
+
+    def test_sample_n_refuses_a_column_of_floats(self):
+        ctx = {"X": np.array([0.0, 1.0]), "Z": np.array([2, 0])}
+        with pytest.raises(DataError, match="column X must hold integers"):
+            self.model().sample_n(ctx, 2, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("x", [2, -1])
+    def test_sample_names_the_column(self, x):
+        with pytest.raises(DataError, match="column X has values outside"):
+            self.model().sample({"X": x, "Z": 0}, np.random.default_rng(0))
+
+    def test_in_range_columns_draw(self):
+        ctx = {"X": np.array([1, 0], dtype=np.uint8), "Z": np.array([2, 0], dtype=np.int64)}
+        assert self.model().sample_n(ctx, 2, np.random.default_rng(0)).shape == (2,)
 
 
 class TestExactConditional:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from causalgen.estimands import DistTable, evaluate_estimand
 from causalgen.graphs import Variable
 from causalgen.identify import identify_effect
-from causalgen.models import Dataset
+from causalgen.models import DRAW_CHUNK_ROWS, Dataset, draw_categorical
 from causalgen.scm import (
     DiscreteScm,
     ScmError,
@@ -211,6 +212,72 @@ class TestSampling:
         d = sample_observational(m, 500_000, np.random.default_rng(1))
         emp = empirical_distribution(d, m.graph.names)
         assert tvd(emp, exact_joint(m)) < 0.01
+
+
+def gather_reference(m: DiscreteScm, n: int, rng: np.random.Generator) -> np.ndarray:
+    """The rows `sample_observational` drew before the joint index: the same
+    exogenous draws, pushed through `mechanisms[name][tuple(index)]`, a
+    multi-array fancy index into each mechanism."""
+    g = m.graph
+    noise = {name: draw_categorical(m.noise[name], (), n, rng) for name in g.names}
+    latents = {pair: draw_categorical(m.latents[pair], (), n, rng) for pair in g.latent_pairs()}
+    values = {}
+    for name in g.topological_order():
+        index = [values[p] for p in g.parents(name)] + [noise[name]]
+        index += [latents[p] for p in m.incident_latents(name)]
+        values[name] = m.mechanisms[name][tuple(index)]
+    return np.stack([values[name] for name in g.names], axis=1)
+
+
+def one_state_latent_scm() -> DiscreteScm:
+    """A 300-state cause of a binary effect, confounded by a one-state latent,
+    so a mechanism has an axis of one state and its joint index needs uint16."""
+    g = admg([("A", 300), ("B", 2)], [("A", "B")], [("A", "B")])
+    mech_a = np.arange(300).reshape(300, 1)  # (noise, latent)
+    mech_b = np.zeros((300, 3, 1), dtype=np.int64)  # (A, noise, latent)
+    mech_b[:, 0, 0] = np.arange(300) % 2
+    mech_b[:, 2, 0] = 1
+    noise = {"A": np.full(300, 1 / 300), "B": np.array([0.6, 0.2, 0.2])}
+    return DiscreteScm(g, noise, {("A", "B"): np.array([1.0])}, {"A": mech_a, "B": mech_b})
+
+
+class TestJointIndexLookup:
+    @pytest.mark.parametrize(
+        "name", ["frontdoor", "backdoor", "zigzag", "napkin", "double_napkin", "bow", "mixed", "one-state latent"]
+    )
+    def test_matches_fancy_index_gather(self, name):
+        if name == "mixed":
+            g = admg(
+                [("A", 3), ("B", 2), ("C", 4), ("D", 2)],
+                [("A", "B"), ("B", "C"), ("A", "D")],
+                [("A", "C"), ("B", "C"), ("C", "D")],
+            )
+            m = random_mechanism_scm(g, np.random.default_rng(5))
+        elif name == "one-state latent":
+            m = one_state_latent_scm()
+        else:
+            m = catalog_entry(name).scm
+        # past two chunk seams
+        n = 2 * DRAW_CHUNK_ROWS + 3
+        d = sample_observational(m, n, np.random.default_rng(13))
+        expected = gather_reference(m, n, np.random.default_rng(13))
+        assert d.rows.dtype == np.min_scalar_type(max(v.cardinality for v in m.graph.variables) - 1)
+        assert np.array_equal(d.rows, expected)
+
+    def test_allocates_no_row_sized_index(self):
+        # the rows and the exogenous columns take one byte a value; an intp index of
+        # the rows would add 8 MB, and the joint index of all rows 1 MB more
+        m = catalog_entry("double_napkin").scm
+        n = 1_000_000
+        g = m.graph
+        tracemalloc.start()
+        try:
+            d = sample_observational(m, n, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d.n == n
+        assert peak <= n * (2 * len(g.names) + len(g.latent_pairs())) + (4 << 20)
 
 
 class TestMetrics:
