@@ -1,7 +1,7 @@
 """Command-line surface: identify queries, build and sample networks, generate
 synthetic data, and score samples against the exact oracle.
 
-Exit codes: 0 success, 1 input error, 2 query not identifiable.
+Exit codes: 0 success, 1 input error or malformed argument, 2 query not identifiable.
 """
 
 from __future__ import annotations
@@ -27,10 +27,17 @@ class InputError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose malformed arguments are input errors, not its exit 2,
+    which is `EXIT_HEDGE`; subcommand parsers inherit the class."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except (InputError, GraphError, DataError, scm.ScmError, engine.EngineError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -38,7 +45,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="causalgen",
         description="identify interventional queries and sample them through networks of conditional models",
     )
@@ -100,6 +107,12 @@ def _load_query(path: str, g: Admg) -> engine.QuerySpec:
         raise InputError(f"{path}: {exc}") from None
 
 
+def _rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise InputError(f"--seed must be non-negative, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def _print_hedge(hedge, trace):
     for entry in trace:
         print(f"  {entry.describe()}")
@@ -149,10 +162,10 @@ def _load_source(args, g: Admg):
 def cmd_sample(args) -> int:
     if args.n <= 0:
         raise InputError("--n must be positive")
+    rng = _rng(args.seed)
     g = _load_graph(args.graph)
     q = _load_query(args.query, g)
     source = _load_source(args, g)
-    rng = np.random.default_rng(args.seed)
     options = dict(proposal=args.proposal, dprime_mult=args.dprime_mult, rng=rng)
     if q.given:
         try:
@@ -233,7 +246,7 @@ def cmd_eval(args) -> int:
         entries = scm.catalog() if args.catalog == "all" else [scm.catalog_entry(args.catalog)]
         for entry in entries:
             # one generator per entry, so its rows do not depend on the entries run before it
-            rng = np.random.default_rng(args.seed)
+            rng = _rng(args.seed)
             for query in entry.queries:
                 rows.append(_eval_one(entry, query, args, rng))
     elif args.scm and args.query:
@@ -249,7 +262,7 @@ def cmd_eval(args) -> int:
             result = identify.identify_effect(frozenset(q.targets), frozenset(do_names), model.graph)
         entry = scm.CatalogEntry(Path(args.scm).stem, model, ())
         query = scm.CatalogQuery(q.targets, do_names, given_names, identifiable=result.identifiable)
-        rows.append(_eval_one(entry, query, args, np.random.default_rng(args.seed)))
+        rows.append(_eval_one(entry, query, args, _rng(args.seed)))
     else:
         raise InputError("provide --catalog, or both --scm and --query")
     print("\n".join(rows))
@@ -259,8 +272,8 @@ def cmd_eval(args) -> int:
 def cmd_gen_data(args) -> int:
     if args.n <= 0:
         raise InputError("--n must be positive")
+    rng = _rng(args.seed)
     model = scm.read_scm(args.scm)
-    rng = np.random.default_rng(args.seed)
     data = scm.sample_observational(model, args.n, rng)
     out = Path(args.out)
     write_dataset_csv(data, out, out.with_suffix(".sidecar.json"))

@@ -13,12 +13,13 @@ Two interchangeable data sources drive the fits: a finite dataset (CPT fits,
 the end-to-end pipeline) and an exact joint table (exact conditionals, used to
 isolate network correctness from estimation error). The recursion reads a
 source through `fit(target, context)`, `marginal_table(names)` and
-`regenerate(inner, proposal, multiplier, rng)`, which returns the step-7
-source drawn from the inner network's models: the proposal draws its
-placeholders, and the others (the anchors, the intervention history) keep the
-current source's values. A source is never narrowed: it may hold columns the
-working graph does not name, and only the graph's names are read.
-`network_law` is the one definition of a network's distribution.
+`regenerate(inner, multiplier, rng)`, which returns the step-7 source drawn
+from the inner network's models, the proposal's (`proposal_models`) on the
+newly intervened variables included; the placeholders left empty, the anchors
+(the intervention history), keep the current source's values. A source is
+never narrowed: it may hold columns the working graph does not name, and only
+the graph's names are read. `network_law` is the one definition of a
+network's distribution.
 """
 
 from __future__ import annotations
@@ -38,8 +39,6 @@ from .models import (
     CptModel,
     Dataset,
     ExactConditionalModel,
-    check_address_space,
-    draw_categorical,
     empty_rows,
     exact_conditional,
     fit_conditional,
@@ -317,19 +316,17 @@ class DatasetSource:
         smoothed = self.dataset.counts(names) + 1.0
         return DistTable(tuple(self.dataset.variable(n) for n in names), smoothed / smoothed.sum())
 
-    def regenerate(
-        self, inner: SamplingNetwork, proposal: DistTable, multiplier: float, rng: np.random.Generator
-    ) -> DatasetSource:
-        # the anchors cycle through the current rows, the proposal's variables are
-        # drawn jointly, and every model of `inner` is sampled ancestrally after them
+    def regenerate(self, inner: SamplingNetwork, multiplier: float, rng: np.random.Generator) -> DatasetSource:
+        # the anchors (the placeholders of `inner`) cycle through the current rows,
+        # and every model of `inner`, the proposal's included, is sampled ancestrally
         n_new = max(1, int(round(self.dataset.n * multiplier)))
         variables = tuple(inner.variables[name] for name in inner.node_order)
         rows = empty_rows(variables, n_new)
         cols = _node_columns(inner, rows)
-        for name in _anchor_names(inner, proposal):
+        anchors = inner.empty_nodes()
+        for name in anchors:
             cols[name][:] = np.resize(self.dataset.column(name), n_new)
-        _sample_joint(proposal, cols, n_new, rng)
-        _draw_nodes(inner, rows, inner.empty_nodes(), rng)
+        _draw_nodes(inner, rows, anchors, rng)
         return DatasetSource(Dataset(variables, rows))
 
 
@@ -353,34 +350,12 @@ class ExactSource:
         probs = contract([(self.table.names, self.table.probs)], names)
         return DistTable(tuple(self.variable(n) for n in names), probs)
 
-    def regenerate(
-        self, inner: SamplingNetwork, proposal: DistTable, multiplier: float, rng: np.random.Generator
-    ) -> ExactSource:
-        # analytic counterpart of sampled regeneration: anchor marginal times
-        # proposal times the models of `inner`
-        anchors = _anchor_names(inner, proposal)
+    def regenerate(self, inner: SamplingNetwork, multiplier: float, rng: np.random.Generator) -> ExactSource:
+        # analytic counterpart of sampled regeneration: the anchors' marginal
+        # times the models of `inner`, the proposal's included
+        anchors = inner.empty_nodes()
         inputs = [self.marginal_table(anchors)] if anchors else []
-        return ExactSource(network_law(inner, [*inputs, proposal], inner.node_order))
-
-
-def _anchor_names(inner: SamplingNetwork, proposal: DistTable) -> list[str]:
-    """The placeholders of `inner` that regeneration copies from the current
-    source: those the proposal does not draw, i.e. the intervention history."""
-    return [name for name in inner.empty_nodes() if name not in proposal.names]
-
-
-def _sample_joint(table: DistTable, cols: Mapping[str, np.ndarray], n: int, rng: np.random.Generator) -> None:
-    """Draw n joint states of `table`'s variables into their columns of `cols`."""
-    if not table.variables:  # a proposal over no variables fixes nothing
-        return
-    flat = draw_categorical(table.probs.ravel(), (), n, rng)
-    # the row-major unravel, last variable first, in place on the narrow draws; what
-    # is left is the first variable's state (whose cardinality may not fit the dtype)
-    first, *rest = table.variables
-    for v in reversed(rest):
-        np.remainder(flat, v.cardinality, out=cols[v.name], casting="unsafe")
-        flat //= v.cardinality
-    cols[first.name][:] = flat
+        return ExactSource(network_law(inner, inputs, inner.node_order))
 
 
 # -- the recursion ------------------------------------------------------------------
@@ -522,27 +497,24 @@ def apply_partial_intervention(
         raise EngineError("empty component for partial intervention")
     x_z = state.x - s_prime
     inner = fit_conditional_models(s_prime, x_z, state, ctx)
-
-    proposal = proposal_table(ctx.proposal, sorted(x_z, key=ctx.root_order.index), state.g_hat, state.source)
-    source = state.source.regenerate(inner, proposal, ctx.dprime_mult, ctx.rng)
+    models = proposal_models(ctx.proposal, sorted(x_z, key=ctx.root_order.index), state.g_hat, state.source)
+    source = state.source.regenerate(replace(inner, nodes={**inner.nodes, **models}), ctx.dprime_mult, ctx.rng)
     x_hat = state.x_hat | x_z
     g_hat = state.g_hat.induced_subgraph(x_hat | s_prime).remove_incoming(x_hat)
     return RecursionState(state.y, state.x & s_prime, source, x_hat, g_hat)
 
 
-def proposal_table(
+def proposal_models(
     proposal: str, names: Sequence[str], g: Admg, source: DatasetSource | ExactSource
-) -> DistTable:
-    """The law regeneration draws newly intervened variables from: `uniform`
-    over their joint states, or `marginal`, the source's (smoothed) joint of
-    their columns. Over no names it is the empty table, which fixes nothing."""
+) -> dict[str, ConditionalModel]:
+    """The models regeneration draws newly intervened variables from, one per
+    name, each given the names before it: `uniform`, a flat row per variable,
+    or `marginal`, the chain rule of the source's (smoothed) joint of their
+    columns. Placed on the placeholders of a network, they make it draw them."""
     if proposal == "marginal":
-        return source.marginal_table(names)
-    variables = tuple(g.variable(n) for n in names)
-    shape = tuple(v.cardinality for v in variables)
-    cells = math.prod(shape)
-    check_address_space(cells * np.dtype(float).itemsize, f"a proposal of {cells} cells over {len(names)} variables")
-    return DistTable(variables, np.full(shape, 1.0 / cells))
+        table = source.marginal_table(names)
+        return {name: exact_conditional(table, name, names[:i]) for i, name in enumerate(names)}
+    return {v.name: CptModel(v, (), np.full(v.cardinality, 1.0 / v.cardinality)) for v in map(g.variable, names)}
 
 
 # -- sampling a finished network ------------------------------------------------------
@@ -578,7 +550,7 @@ def build_conditional_sampler(
     """Network sampling P(y | do(x), z): shift the maximal rule-2 subset of z
     into the do-set, compile the network for P(y, z | do(x)), and regenerate the
     source through it as step 7 does, its inputs (the surviving do-variables)
-    drawn from `proposal_table` and `dprime_mult` times the source's rows. Each
+    drawn from `proposal_models` and `dprime_mult` times the source's rows. Each
     target is then fitted on the regenerated source, given the do- and
     given-variables and the targets before it; an `ExactSource` thus yields
     exact conditionals. `sample_interventional` draws from the result with the
@@ -594,8 +566,8 @@ def build_conditional_sampler(
     if result.hedge is not None:
         raise NotIdentifiable(result.hedge)
     network = result.network
-    inputs = proposal_table(proposal, network.empty_nodes(), g, source)
-    train = source.regenerate(network, inputs, dprime_mult, rng)
+    models = proposal_models(proposal, network.empty_nodes(), g, source)
+    train = source.regenerate(replace(network, nodes={**network.nodes, **models}), dprime_mult, rng)
 
     keep = [n for n in network.node_order if n in y | z | x]
     context = [n for n in keep if n not in y]

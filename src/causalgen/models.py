@@ -131,12 +131,18 @@ class Dataset:
         return self.rows[:, self.names.index(name)]
 
     def counts(self, names: Sequence[str]) -> np.ndarray:
-        """Joint counts of the named columns, shaped by their cardinalities."""
+        """Joint counts of the named columns, shaped by their cardinalities,
+        counted `DRAW_CHUNK_ROWS` rows at a time, since `np.bincount` casts
+        its narrow index to intp."""
         cards = [self.variable(n).cardinality for n in names]
         cells = math.prod(cards)
         check_address_space(cells * np.dtype(np.intp).itemsize, f"counts of {cells} cells")
-        idx = joint_index([self.column(n) for n in names], cards, self.n)
-        return np.bincount(idx, minlength=cells).reshape(cards)
+        columns = [self.column(n) for n in names]
+        counts = np.zeros(cells, dtype=np.intp)
+        for start in range(0, self.n, DRAW_CHUNK_ROWS):
+            stop = min(start + DRAW_CHUNK_ROWS, self.n)
+            counts += np.bincount(joint_index([c[start:stop] for c in columns], cards, stop - start), minlength=cells)
+        return counts.reshape(cards)
 
     def restrict(self, keep: Iterable[str]) -> Dataset:
         keep = set(keep)
@@ -154,7 +160,7 @@ class Dataset:
 CSV_CHUNK_ROWS = 1 << 16  # bounds the temporary values and text of one write
 CSV_CHUNK_BYTES = 1 << 16  # bounds the temporary arrays of one read
 CSV_MAX_DIGITS = 18  # every 18-digit cell fits int64
-DRAW_CHUNK_ROWS = 1 << 16  # bounds the temporary uniforms and indices of one draw
+DRAW_CHUNK_ROWS = 1 << 16  # bounds the temporary uniforms and indices of one draw or count
 
 
 def write_dataset_csv(d: Dataset, path: str | Path, sidecar: str | Path | None = None):

@@ -250,6 +250,20 @@ class TestEval:
         assert rows == single
 
 
+def long_chain_sample(tmp_path, n: int) -> list[str]:
+    """`sample` argv for V0 -> ... -> V(n-1) with V0 <-> V(n-1), target V(n-1)
+    and do(V0=1), against 200 rows of binary data; step 7 draws the n - 2
+    variables between them."""
+    names = [f"V{i}" for i in range(n)]
+    g = admg(" ".join(names), list(zip(names, names[1:])), [(names[0], names[-1])])
+    (tmp_path / "g.graph").write_text(format_graph(g))
+    (tmp_path / "q.txt").write_text(f"target={names[-1]}\ndo=V0=1\n")
+    rows = np.random.default_rng(0).integers(0, 2, size=(200, n))
+    (tmp_path / "obs.csv").write_text(",".join(names) + "\n" + "".join(",".join(map(str, r)) + "\n" for r in rows))
+    return ["sample", "--graph", str(tmp_path / "g.graph"), "--query", str(tmp_path / "q.txt"),
+            "--data", str(tmp_path / "obs.csv"), "--out", str(tmp_path / "o")]
+
+
 class TestIngressErrors:
     @pytest.mark.parametrize("command", ["identify", "sample", "eval"])
     def test_non_integer_query_value(self, frontdoor_files, capsys, command):
@@ -409,20 +423,46 @@ class TestIngressErrors:
         assert_input_error(capsys, argv, "Unable to allocate")
         assert not list(files.glob("o.*")) and not (files / "obs.csv").exists()
 
-    @pytest.mark.parametrize("proposal, n", [("uniform", 66), ("marginal", 66), ("marginal", 62)])
+    @pytest.mark.parametrize("proposal, n", [("marginal", 66), ("marginal", 62)])
     def test_step7_proposal_past_the_address_space(self, tmp_path, capsys, proposal, n):
-        # V0 -> ... -> V(n-1) with V0 <-> V(n-1): step 7 draws n - 2 binary variables
-        # jointly, 2^64 (or 2^60) cells, whose dense table no address space holds
-        names = [f"V{i}" for i in range(n)]
-        g = admg(" ".join(names), list(zip(names, names[1:])), [(names[0], names[-1])])
-        (tmp_path / "g.graph").write_text(format_graph(g))
-        (tmp_path / "q.txt").write_text(f"target={names[-1]}\ndo=V0=1\n")
-        rows = np.random.default_rng(0).integers(0, 2, size=(200, n))
-        (tmp_path / "obs.csv").write_text(",".join(names) + "\n" + "".join(",".join(map(str, r)) + "\n" for r in rows))
-        assert_input_error(capsys, ["sample", "--graph", str(tmp_path / "g.graph"), "--query", str(tmp_path / "q.txt"),
-                                    "--data", str(tmp_path / "obs.csv"), "--proposal", proposal,
-                                    "--out", str(tmp_path / "o")], "Unable to allocate")
+        # the marginal proposal is the data's joint of the n - 2 variables step 7
+        # draws, 2^64 (or 2^60) cells, whose dense table no address space holds
+        argv = long_chain_sample(tmp_path, n) + ["--proposal", proposal]
+        assert_input_error(capsys, argv, "Unable to allocate")
         assert not list(tmp_path.glob("o.*"))
+
+    def test_uniform_proposal_on_a_66_node_chain(self, tmp_path, capsys):
+        # the uniform proposal draws the 64 variables one at a time, with no table over them
+        assert main(long_chain_sample(tmp_path, 66) + ["--proposal", "uniform"]) == 0
+        assert capsys.readouterr().err == ""
+        assert sorted(p.name for p in tmp_path.glob("o.*")) == ["o.csv", "o.manifest", "o.sidecar.json"]
+        assert read_dataset_csv(tmp_path / "o.csv", tmp_path / "o.sidecar.json").n == 10_000
+
+    @pytest.mark.parametrize("command", ["sample", "eval", "gen-data"])
+    @pytest.mark.parametrize("seed, fragment", [("-1", "--seed must be non-negative"),
+                                                ("abc", "invalid int value: 'abc'")])
+    def test_bad_seed(self, frontdoor_files, capsys, command, seed, fragment):
+        files = frontdoor_files
+        argv = {
+            "sample": ["sample", "--graph", str(files / "frontdoor.graph"), "--query", str(files / "query.txt"),
+                       "--scm", str(files / "frontdoor.scm"), "--n", "10", "--out", str(files / "o")],
+            "eval": ["eval", "--catalog", "frontdoor", "--n", "10", "--obs-n", "10"],
+            "gen-data": ["gen-data", "--scm", str(files / "frontdoor.scm"), "--n", "10",
+                         "--out", str(files / "obs.csv")],
+        }[command]
+        assert_input_error(capsys, argv + ["--seed", seed], fragment)
+        assert not list(files.glob("o.*")) and not (files / "obs.csv").exists()
+
+    @pytest.mark.parametrize("argv, fragment", [
+        ([], "the following arguments are required: command"),
+        (["sample", "--n", "1.5"], "causalgen sample: argument --n: invalid int value: '1.5'"),
+        (["eval", "--proposal", "other"], "argument --proposal: invalid choice: 'other'"),
+        (["gen-data", "--scm", "m.scm"], "the following arguments are required: --n, --out"),
+        (["identify", "--graph", "g", "--query", "q", "--extra"], "unrecognized arguments: --extra"),
+    ])
+    def test_malformed_arguments_are_input_errors(self, capsys, argv, fragment):
+        # argparse's own exit code, 2, is the code of a hedge
+        assert_input_error(capsys, argv, fragment)
 
     def test_sample_data_cardinality_mismatch(self, tmp_path, capsys):
         # S has 3 states in the graph, but the csv (no sidecar) only shows 0 and 1

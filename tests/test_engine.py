@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import sys
 import threading
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
@@ -17,7 +19,6 @@ from causalgen.engine import (
     QuerySpec,
     RecursionState,
     SamplingNetwork,
-    _sample_joint,
     ancestral_sample,
     apply_partial_intervention,
     build_conditional_sampler,
@@ -28,12 +29,13 @@ from causalgen.engine import (
     network_law,
     parse_query,
     format_query,
+    proposal_models,
     sample_interventional,
 )
 from causalgen.estimands import DistTable, evaluate_estimand
 from causalgen.graphs import Admg, GraphError, Variable
-from causalgen.identify import identify_conditional_effect, identify_effect, maximal_rule2_shift
-from causalgen.models import CptModel, Dataset, ExactConditionalModel, draw_categorical
+from causalgen.identify import identify_conditional_effect, identify_effect, maximal_rule2_shift, run_id
+from causalgen.models import CptModel, Dataset, ExactConditionalModel
 from causalgen.scm import (
     catalog,
     catalog_entry,
@@ -718,22 +720,99 @@ class TestConditionalSampler:
         assert worst <= 0.03  # the bound of acceptance criterion C7
 
 
-class TestSampleJoint:
-    # 256 states fill uint8, so a lone variable's cardinality does not fit the draws' dtype
-    @pytest.mark.parametrize("cards", [(3, 2, 5), (256,)])
-    def test_columns_unravel_the_flat_draw(self, cards):
-        variables = tuple(Variable(f"V{i}", c) for i, c in enumerate(cards))
-        probs = np.random.default_rng(4).dirichlet(np.ones(np.prod(cards))).reshape(cards)
-        n = 50_000
-        rows = np.empty((n, len(cards)), dtype=np.min_scalar_type(max(cards) - 1), order="F")
-        cols = {v.name: col for v, col in zip(variables, rows.T)}
-        _sample_joint(DistTable(variables, probs), cols, n, np.random.default_rng(9))
-        flat = draw_categorical(probs.ravel(), (), n, np.random.default_rng(9))
-        for v, states in zip(variables, np.unravel_index(flat, cards)):
-            assert np.array_equal(cols[v.name], states)
+class TestProposalModels:
+    """The proposal is one model per newly intervened variable, each given the
+    ones before it, and their product is the law the proposal names."""
 
-    def test_no_variables_consume_no_uniforms(self):
-        rng = np.random.default_rng(5)
-        before = rng.bit_generator.state
-        _sample_joint(DistTable((), np.ones(())), {}, 100, rng)
-        assert rng.bit_generator.state == before
+    G = admg([("A", 2), ("B", 3), ("C", 3), ("D", 2)], [("A", "B"), ("B", "C"), ("C", "D")], [("A", "C")])
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("names", [(), ("B",), ("A", "B", "C"), ("B", "C", "D")])
+    def test_product_is_the_law(self, exact, names):
+        m = noisy_copy_scm(self.G)
+        source = ExactSource(exact_joint(m)) if exact else DatasetSource(
+            sample_observational(m, 5000, np.random.default_rng(3)))
+        variables = {n: self.G.variable(n) for n in names}
+        shape = [v.cardinality for v in variables.values()]
+        laws = {"marginal": source.marginal_table(names).probs, "uniform": np.full(shape, 1 / math.prod(shape))}
+        for proposal, law in laws.items():
+            h = SamplingNetwork(variables, proposal_models(proposal, names, self.G, source), names)
+            unit = DistTable((), np.ones(()))  # over no names the product is empty
+            assert np.abs(network_law(h, [unit], names).probs - law).max() < 1e-12, proposal
+
+
+@dataclass
+class Step7Recorder(BuildContext):
+    """A build context that keeps every step-7 state and component it is handed."""
+
+    step7: list = field(default_factory=list)
+
+    def s7_intervene(self, state, s_prime):
+        self.step7.append((state, s_prime))
+        return super().s7_intervene(state, s_prime)
+
+
+def dense_proposal(proposal: str, names: list[str], state: RecursionState) -> DistTable:
+    """The proposal as one dense table over `names`: flat, or the source's marginal."""
+    if proposal == "marginal":
+        return state.source.marginal_table(names)
+    variables = tuple(state.g_hat.variable(n) for n in names)
+    shape = tuple(v.cardinality for v in variables)
+    return DistTable(variables, np.full(shape, 1 / math.prod(shape)))
+
+
+def regeneration_error(proposal: str, state: RecursionState, s_prime: frozenset, ctx: BuildContext) -> float:
+    """Largest deviation of `ExactSource.regenerate` through the proposal's models
+    from the composition `network_law(inner, [anchor marginal, dense proposal])`."""
+    x_z = sorted(state.x - s_prime, key=ctx.root_order.index)
+    inner = fit_conditional_models(s_prime, frozenset(x_z), state, ctx)
+    anchors = [n for n in inner.empty_nodes() if n not in x_z]
+    inputs = [state.source.marginal_table(anchors)] if anchors else []
+    reference = network_law(inner, [*inputs, dense_proposal(proposal, x_z, state)], inner.node_order)
+    models = proposal_models(proposal, x_z, state.g_hat, state.source)
+    got = state.source.regenerate(replace(inner, nodes={**inner.nodes, **models}), 1.0, ctx.rng).table
+    assert got.names == reference.names
+    return float(np.abs(got.probs - reference.probs).max())
+
+
+def step7_states(proposal: str, y, x, g: Admg, source) -> Step7Recorder:
+    ctx = Step7Recorder(root_order=tuple(g.topological_order()), proposal=proposal)
+    run_id(RecursionState(frozenset(y), frozenset(x), source, frozenset(), g), ctx)
+    return ctx
+
+
+class TestExactRegeneration:
+    """Exact regeneration through the proposal's models is the law of the
+    anchors' marginal, the dense proposal and the inner models."""
+
+    @pytest.mark.parametrize("proposal", ["uniform", "marginal"])
+    def test_catalog(self, proposal):
+        seen = 0
+        for entry in catalog():
+            for q in entry.queries:
+                if q.identifiable:
+                    g = entry.scm.graph
+                    x, z = maximal_rule2_shift(frozenset(q.targets), frozenset(q.do), frozenset(q.given), g)
+                    ctx = step7_states(proposal, frozenset(q.targets) | z, x, g, ExactSource(exact_joint(entry.scm)))
+                    for state, s_prime in ctx.step7:
+                        assert regeneration_error(proposal, state, s_prime, ctx) < 1e-12, entry.name
+                        seen += 1
+        assert seen
+
+    @pytest.mark.parametrize("proposal", ["uniform", "marginal"])
+    def test_random_graphs_with_several_new_interventions(self, proposal):
+        rng = np.random.default_rng(14)
+        checked = 0
+        while checked < 12:
+            g = random_admg(rng, max_nodes=7)
+            cards = rng.integers(2, 4, size=len(g.names))
+            g = Admg([Variable(n, int(c)) for n, c in zip(g.names, cards)], g.directed,
+                     [tuple(p) for p in g.bidirected])
+            y, x = random_query(rng, g, allow_empty_x=False)
+            if not identify_effect(y, x, g).identifiable:
+                continue
+            ctx = step7_states(proposal, y, x, g, ExactSource(exact_joint(noisy_copy_scm(g))))
+            for state, s_prime in ctx.step7:
+                if len(state.x - s_prime) >= 2:
+                    assert regeneration_error(proposal, state, s_prime, ctx) < 1e-12
+                    checked += 1

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from causalgen.engine import DatasetSource, SamplingNetwork, ancestral_sample, proposal_table
+from causalgen.engine import DatasetSource, SamplingNetwork, ancestral_sample, proposal_models
 from causalgen.graphs import Admg, Variable
 from causalgen.models import (
     CSV_CHUNK_ROWS,
@@ -95,6 +96,38 @@ class TestDataset:
         assert all(d.column(v.name).flags.c_contiguous for v in d.variables)
         again = Dataset(d.variables, d.rows)
         assert again.rows is d.rows  # a block in the storage layout is not copied
+
+
+def counts_reference(d, names):
+    """Joint counts as one `np.bincount` of the whole joint index."""
+    cards = [d.variable(n).cardinality for n in names]
+    index = joint_index([d.column(n) for n in names], cards, d.n)
+    return np.bincount(index, minlength=math.prod(cards)).reshape(cards)
+
+
+class TestCounts:
+    @pytest.mark.parametrize("n", [0, 1, DRAW_CHUNK_ROWS - 1, DRAW_CHUNK_ROWS, DRAW_CHUNK_ROWS + 1,
+                                   2 * DRAW_CHUNK_ROWS + 3])
+    @pytest.mark.parametrize("names", [[], ["B"], ["A", "C", "B"]])
+    def test_matches_one_bincount_across_chunk_seams(self, n, names):
+        variables = (Variable("A", 2), Variable("B", 3), Variable("C", 300))
+        rows = np.column_stack([np.random.default_rng(n).integers(0, v.cardinality, size=n) for v in variables])
+        d = Dataset(variables, rows.reshape(n, 3))
+        got = d.counts(names)
+        assert got.dtype == np.intp and got.sum() == n
+        assert np.array_equal(got, counts_reference(d, names))
+
+    def test_allocates_no_row_sized_temporary(self):
+        # one bincount of the whole uint8 index made an n-row intp temporary, 8.6 MiB here
+        d = Dataset(tuple(Variable(f"V{i}", 2) for i in range(4)),
+                    np.random.default_rng(1).integers(0, 2, size=(1_000_000, 4)))
+        tracemalloc.start()
+        try:
+            d.counts(["V0", "V2", "V3"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 << 20
 
 
 def savetxt_reference(path, d):
@@ -287,16 +320,16 @@ class TestProducersReturnStorageLayout:
     @pytest.mark.parametrize("anchors", [(), ("X",)])
     def test_dataset_source_regenerate(self, graph, data, anchors):
         source = DatasetSource(data)
+        proposal = proposal_models("uniform", [n for n in ("X",) if n not in anchors], graph, source)
         inner = SamplingNetwork(
             {v.name: v for v in graph.variables},
-            {"X": None, "S": source.fit("S", ["X"]), "R": source.fit("R", ["S"])},
+            {"X": None, **proposal, "S": source.fit("S", ["X"]), "R": source.fit("R", ["S"])},
             tuple(graph.topological_order()),
         )
-        proposal = proposal_table("uniform", [n for n in ("X",) if n not in anchors], graph, source)
-        regenerated = source.regenerate(inner, proposal, 1.5, np.random.default_rng(2))
+        regenerated = source.regenerate(inner, 1.5, np.random.default_rng(2))
         assert_storage_layout(regenerated.dataset)
         assert regenerated.dataset.n == 7500
-        if anchors:  # a placeholder the proposal does not draw cycles through the current rows
+        if anchors:  # a placeholder no model draws cycles through the current rows
             assert np.array_equal(regenerated.dataset.column("X"), np.resize(data.column("X"), 7500))
 
 
