@@ -246,7 +246,7 @@ def ancestral_sample(
     for name, value in fixed.items():
         cols[name][:] = value
     for start, stop, stream in zip(bounds, bounds[1:], streams):
-        _draw_nodes(h, rows[start:stop], fixed, stream)
+        _draw_nodes(h, _node_columns(h, rows[start:stop]), fixed, stream)
     return Dataset(variables, rows, frozenset(fixed))
 
 
@@ -265,14 +265,14 @@ def _node_columns(h: SamplingNetwork, rows: np.ndarray) -> dict[str, np.ndarray]
     return dict(zip(h.node_order, rows.T))
 
 
-def _draw_nodes(h: SamplingNetwork, rows: np.ndarray, filled: Iterable[str], rng: np.random.Generator) -> None:
-    """Fill the columns of the (n, nodes) block `rows`, in node order, that
-    `filled` does not name, each drawn from its node's model given the columns
-    before it; `filled` must name every placeholder."""
-    cols = _node_columns(h, rows)
-    for name, col in cols.items():
+def _draw_nodes(h: SamplingNetwork, cols: Mapping[str, np.ndarray], filled: Iterable[str],
+                rng: np.random.Generator) -> None:
+    """Fill, in node order, the columns of `cols`, one of n rows per node by
+    name, that `filled` does not name, each drawn from its node's model given
+    the columns before it; `filled` must name every placeholder."""
+    for name in h.node_order:
         if name not in filled:
-            col[:] = h.nodes[name].sample_n(cols, len(rows), rng)
+            cols[name][:] = h.nodes[name].sample_n(cols, len(cols[name]), rng)
 
 
 def format_network(h: SamplingNetwork) -> str:
@@ -326,7 +326,7 @@ class DatasetSource:
         anchors = inner.empty_nodes()
         for name in anchors:
             cols[name][:] = np.resize(self.dataset.column(name), n_new)
-        _draw_nodes(inner, rows, anchors, rng)
+        _draw_nodes(inner, cols, anchors, rng)
         return DatasetSource(Dataset(variables, rows))
 
 

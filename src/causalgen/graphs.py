@@ -246,7 +246,7 @@ class Admg:
                     stack.append(p)
 
         # reachability along active trails (Bayes-ball style)
-        visited: set[tuple[str, str]] = set()
+        visited: set[tuple] = set()
         agenda = [(s, "up") for s in a]
         reachable: set[str] = set()
         while agenda:
@@ -266,15 +266,15 @@ class Admg:
                     agenda.extend((p, "up") for p in parents[node])
         return not (reachable & b)
 
-    def _expanded_dag(self) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+    def _expanded_dag(self) -> tuple[dict, dict]:
+        """The DAG with each latent keyed by its pair, which no name equals."""
         parents = {v: list(self._parents[v]) for v in self.names}
         children = {v: list(self._children[v]) for v in self.names}
-        for k, pair in enumerate(self.latent_pairs()):
-            u = f"~u{k}"
-            parents[u] = []
-            children[u] = list(pair)
+        for pair in self.latent_pairs():
+            parents[pair] = []
+            children[pair] = list(pair)
             for endpoint in pair:
-                parents[endpoint].append(u)
+                parents[endpoint].append(pair)
         return parents, children
 
     def latent_pairs(self) -> list[tuple[str, str]]:

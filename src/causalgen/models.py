@@ -362,17 +362,13 @@ def joint_index(columns: Sequence[np.ndarray], cards: Sequence[int], n: int) -> 
     intp past 2^32).
     Every column must lie within its cardinality: nothing here checks it.
     `Dataset` validates its columns, drawn states hold it by construction, and
-    `ConditionalModel.sample_n` checks the columns it is given. A joint past
-    the index range is refused by `check_address_space`."""
+    `ConditionalModel.sample_n` checks the columns it is given. Cardinalities
+    are at least 2, as a `Variable`'s are, so every factor after the first is
+    at most half the cells and fits the index's dtype. A joint past the index
+    range is refused by `check_address_space`."""
     cells = math.prod(cards)
     check_address_space(cells - 1, f"an index into a joint of {cells} cells")
-    index = np.empty(n, dtype=_unsigned((cells - 1).bit_length()))
-    if 1 in cards:
-        # a one-state column is all zeros; without it, every factor after the
-        # first is at most half the cells, so it fits the index's dtype
-        kept = [i for i, card in enumerate(cards) if card > 1]
-        columns, cards = [columns[i] for i in kept], [cards[i] for i in kept]
-    return _ravel_into(index, columns, cards)
+    return _ravel_into(np.empty(n, dtype=_unsigned((cells - 1).bit_length())), columns, cards)
 
 
 def _ravel_into(index: np.ndarray, columns: Sequence[np.ndarray], cards: Sequence[int]) -> np.ndarray:
@@ -391,7 +387,7 @@ def _ravel_into(index: np.ndarray, columns: Sequence[np.ndarray], cards: Sequenc
 @functools.cache
 def _unsigned(bits: int) -> np.dtype:
     """The narrowest unsigned dtype of at least `bits` bits, or past 32 bits
-    the intp that `np.bincount` and `np.take` read without a cast; remembered,
+    the intp that `np.bincount` and a gather read without a cast; remembered,
     since `np.min_scalar_type` costs a tenth of a 256-row draw."""
     return np.min_scalar_type((1 << bits) - 1) if bits <= 32 else np.dtype(np.intp)
 
@@ -478,7 +474,7 @@ class ExactConditionalModel(ConditionalModel):
 
     def __post_init__(self):
         _check_table(self)
-        if np.any(self.table < 0):
+        if (self.table < 0).any():
             raise DataError("conditional probabilities must be non-negative")
 
     def conditional_table(self) -> np.ndarray:

@@ -2,29 +2,32 @@
 
 An SCM here is fully tabular: independent categorical noise per variable, one
 categorical latent per confounded pair, and a deterministic mechanism table
-mapping (parent values, noise, incident latents) to an output state. Exact
-joints and interventionals, which every soundness test compares against, are
-computed by factor elimination (variable elimination, Koller & Friedman,
-*Probabilistic Graphical Models*, ch. 9): each variable's private noise is
-summed into a kernel P(v | parents, incident latents), and the kernels and
-latent priors are contracted with `np.einsum`, one latent at a time.
-`ENUMERATION_BUDGET` bounds the cells of every table the contraction builds,
-the output joint included, so the cost follows the size of the joint table
-rather than the size of the exogenous space.
+mapping (parent values, noise, incident latents) to an output state. It is
+read as one sampling network, built once (`DiscreteScm.network`): the latent
+priors, then each variable's kernel P(v | parents, incident latents), its
+mechanism with the noise summed out. The engine's ancestral node loop draws
+observational rows through it; the exact joints and interventionals every
+soundness test compares against contract its tables, one latent at a time
+(variable elimination, Koller & Friedman, *Probabilistic Graphical Models*,
+ch. 9). `ENUMERATION_BUDGET` bounds the cells of every table this builds, the
+output joint included, so the cost follows the size of the joint table rather
+than the size of the exogenous space.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .engine import SamplingNetwork, _draw_nodes
 from .estimands import DistTable, Factor, contract
 from .graphs import Admg, Variable, format_graph, parse_graph
-from .models import DRAW_CHUNK_ROWS, DataError, Dataset, draw_categorical, empty_rows, joint_index
+from .models import DataError, Dataset, ExactConditionalModel, empty_rows
 
 ENUMERATION_BUDGET = 10_000_000
 
@@ -53,7 +56,10 @@ class DiscreteScm:
             if not _is_distribution(self.noise[name]):
                 raise ScmError(f"bad noise distribution for {name}")
             mech = self.mechanisms[name]
-            expected = self._mech_shape(name)
+            if mech.dtype.kind not in "iu":
+                raise ScmError(f"mechanism for {name} must hold integers, not {mech.dtype}")
+            expected = (*(g.variable(p).cardinality for p in g.parents(name)), len(self.noise[name]))
+            expected += tuple(len(self.latents[p]) for p in pairs if name in p)
             if mech.shape != expected:
                 raise ScmError(f"mechanism for {name}: shape {mech.shape} != {expected}")
             if mech.min() < 0 or mech.max() >= g.variable(name).cardinality:
@@ -65,57 +71,46 @@ class DiscreteScm:
         if joint.probs.min() <= 0:
             raise ScmError("observational joint is not strictly positive")
 
-    def incident_latents(self, name: str) -> list[tuple[str, str]]:
-        return [p for p in self.graph.latent_pairs() if name in p]
-
-    def _mech_shape(self, name: str) -> tuple[int, ...]:
-        g = self.graph
-        shape = [g.variable(p).cardinality for p in g.parents(name)]
-        shape.append(self.noise[name].shape[0])
-        shape.extend(self.latents[p].shape[0] for p in self.incident_latents(name))
-        return tuple(shape)
+    @cached_property  # the oracle and every draw read it
+    def network(self) -> SamplingNetwork:
+        """A no-context node per latent of two or more states, holding its prior,
+        named `~...u<k>` with a `~` more than any variable name starts with; then
+        each variable's kernel. A one-state latent's kernel axes are sliced at 0."""
+        g, probs = self.graph, self.latents
+        pairs = g.latent_pairs()
+        mark = "~" * (1 + max((len(n) - len(n.lstrip("~")) for n in g.names), default=0))
+        latents = {p: Variable(f"{mark}u{k}", len(probs[p])) for k, p in enumerate(pairs) if len(probs[p]) > 1}
+        nodes = {u.name: ExactConditionalModel(u, (), probs[p]) for p, u in latents.items()}
+        for v in g.variables:
+            parents = tuple(map(g.variable, g.parents(v.name)))
+            incident = [p for p in pairs if v.name in p]
+            cut = (slice(None),) * (len(parents) + 1) + tuple(slice(None) if p in latents else 0 for p in incident)
+            hits = self.mechanisms[v.name][cut][..., None] == np.arange(v.cardinality)
+            # (parents..., noise, latents..., v) times the noise prior: einsum keeps the axes named once, in order
+            kernel = np.einsum(hits, list(range(hits.ndim)), self.noise[v.name], [len(parents)])
+            context = parents + tuple(latents[p] for p in incident if p in latents)
+            nodes[v.name] = ExactConditionalModel(v, context, kernel)
+        order = (*(u.name for u in latents.values()), *g.topological_order())
+        return SamplingNetwork({name: model.target for name, model in nodes.items()}, nodes, order)
 
 
 def _is_distribution(probs: np.ndarray) -> bool:
     """Strictly positive 1-d probabilities summing to one (NaN fails every test)."""
-    return probs.ndim == 1 and bool(np.all(probs > 0)) and abs(probs.sum() - 1.0) <= 1e-9
+    return probs.ndim == 1 and bool((probs > 0).all()) and abs(probs.sum() - 1.0) <= 1e-9
 
 
 def sample_observational(m: DiscreteScm, n: int, rng: np.random.Generator) -> Dataset:
-    """Draw exogenous values independently per row and push through the mechanisms,
-    dropping each noise or latent column once its last variable is computed. A
-    variable's states are read from its flattened mechanism at the `joint_index`
-    of (parents, noise, latents), `DRAW_CHUNK_ROWS` rows at a time, since
-    `np.take` casts its index to intp."""
+    """n rows drawn through `m.network` by the ancestral node loop: the latent
+    nodes into a block of their own, freed on return, then each variable into
+    the dataset's block, given its parents and latents."""
     if n <= 0:
         raise ScmError("sample count must be positive")
-    g = m.graph
+    g, h = m.graph, m.network
     rows = empty_rows(g.variables, n)  # first, so a request past memory is refused before any draw
-    noise = {name: draw_categorical(m.noise[name], (), n, rng) for name in g.names}
-    latents = {pair: draw_categorical(m.latents[pair], (), n, rng) for pair in g.latent_pairs()}
-    order = g.topological_order()
-    last = {pair: max(pair, key=order.index) for pair in latents}
-    values = dict(zip(g.names, rows.T))
-    for name in order:
-        inputs = [values[p] for p in g.parents(name)] + [noise.pop(name)]
-        inputs.extend(latents.pop(p) if last[p] == name else latents[p] for p in m.incident_latents(name))
-        mech = m.mechanisms[name]
-        # the mechanism's states fit the column's dtype, so the take writes no int64 copy
-        flat, out = mech.astype(rows.dtype).ravel(), values[name]
-        for start in range(0, n, DRAW_CHUNK_ROWS):
-            stop = min(start + DRAW_CHUNK_ROWS, n)
-            index = joint_index([c[start:stop] for c in inputs], mech.shape, stop - start)
-            np.take(flat, index, out=out[start:stop])
-        del inputs  # its noise column, and a latent read for the last time, go now
+    latents = h.node_order[: -len(g.names)]  # they come first
+    block = empty_rows([h.variables[u] for u in latents], n)
+    _draw_nodes(h, {**dict(zip(latents, block.T)), **dict(zip(g.names, rows.T))}, (), rng)
     return Dataset(g.variables, rows)
-
-
-def _kernel(m: DiscreteScm, name: str) -> np.ndarray:
-    """P(name | parents, incident latents): the mechanism with its private noise
-    summed out; axes (parents..., latents..., name)."""
-    states = np.arange(m.graph.variable(name).cardinality)
-    hits = m.mechanisms[name][..., None] == states
-    return np.tensordot(hits, m.noise[name], axes=(len(m.graph.parents(name)), 0))
 
 
 def _product(factors: Sequence[Factor], keep: Sequence) -> np.ndarray:
@@ -128,20 +123,18 @@ def _product(factors: Sequence[Factor], keep: Sequence) -> np.ndarray:
 
 
 def _eliminate(m: DiscreteScm, do: Mapping[str, int]) -> DistTable:
-    """P(V | do(...)) with axes in `graph.names` order: kernels (point masses for
-    do-variables) and latent priors, multiplied and summed over each latent."""
-    g = m.graph
-    factors: list[Factor] = []
-    for v in g.variables:
-        if v.name in do:
-            factors.append(((v.name,), np.eye(v.cardinality)[do[v.name]]))
-        else:
-            labels = (*g.parents(v.name), *m.incident_latents(v.name), v.name)
-            factors.append((labels, _kernel(m, v.name)))
-    for pair in g.latent_pairs():
-        group = [((pair,), m.latents[pair])] + [f for f in factors if pair in f[0]]
-        factors = [f for f in factors if pair not in f[0]]
-        keep = tuple(dict.fromkeys(x for labels, _ in group for x in labels if x != pair))
+    """P(V | do(...)) with axes in `graph.names` order: the tables of
+    `m.network` (point masses for do-variables), multiplied and summed over
+    each latent node in turn."""
+    g, h = m.graph, m.network
+    factors: list[Factor] = [
+        ((name,), np.eye(model.target.cardinality)[do[name]]) if name in do else ((*model.context_names, name), model.table)
+        for name, model in h.nodes.items()
+    ]
+    for latent in h.node_order[: -len(g.names)]:  # the latent nodes come first
+        group = [f for f in factors if latent in f[0]]
+        factors = [f for f in factors if latent not in f[0]]
+        keep = tuple(dict.fromkeys(x for labels, _ in group for x in labels if x != latent))
         factors.append((keep, _product(group, keep)))
     return DistTable(g.variables, _product(factors, g.names))
 
@@ -216,7 +209,7 @@ def noisy_copy_scm(graph: Admg) -> DiscreteScm:
     for v in graph.variables:
         k = v.cardinality
         parents = graph.parents(v.name)
-        incident = [p for p in graph.latent_pairs() if v.name in p]
+        incident = [p for p in latents if v.name in p]
         in_dims = [graph.variable(p).cardinality for p in parents] + [2] * len(incident)
         if not in_dims:
             weights = np.arange(2, k + 2, dtype=float)

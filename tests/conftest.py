@@ -76,8 +76,8 @@ def brute_force_d_separated(g: Admg, a, b, given) -> bool:
     children: dict[str, set[str]] = {v: set() for v in g.names}
     for u, w in g.directed:
         children[u].add(w)
-    for k, (u, w) in enumerate(g.latent_pairs()):
-        latent = f"~u{k}"
+    for latent in g.latent_pairs():  # keyed by its pair, which no variable name equals
+        u, w = latent
         parents[latent] = set()
         children[latent] = {u, w}
         parents[u].add(latent)

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
+from causalgen.estimands import format_estimand
 from causalgen.graphs import GraphError, GraphParseError, Variable, format_graph, parse_graph
+from causalgen.identify import identify_conditional_effect, identify_effect
 from conftest import (
     admg,
     brute_force_d_separated,
@@ -221,6 +225,30 @@ class TestDSeparation:
             assert got == brute_force_d_separated(g, a, b, given)
             trials += 1
         assert trials == 120
+
+    def test_a_variable_named_like_a_latent(self):
+        # the expanded DAG keys each latent by its pair, so a variable called `~u0`
+        # is not overwritten by the latent of C <-> D
+        def graph(u):
+            return admg([(u, 2), ("Z", 2), ("Y", 2), ("C", 2), ("D", 2)], [(u, "Z"), (u, "Y"), ("Z", "Y")], [("C", "D")])
+
+        tilde, plain = graph("~u0"), graph("t")  # the estimand prints names in lower case
+        rename = {"~u0": "t"}
+        names = list(tilde.names)
+        for a, b in itertools.permutations(names, 2):
+            rest = [n for n in names if n not in (a, b)]
+            for r in range(len(rest) + 1):
+                for given in itertools.combinations(rest, r):
+                    got = tilde.d_separated({a}, {b}, given)
+                    assert got == brute_force_d_separated(tilde, {a}, {b}, given)
+                    assert got == plain.d_separated({rename.get(a, a)}, {rename.get(b, b)}, [rename.get(n, n) for n in given])
+        for y, z in itertools.permutations(names, 2):
+            for query in (identify_effect, lambda y, x, g: identify_conditional_effect(y, [], x, g)):
+                got, expected = query([y], [z], tilde), query([rename.get(y, y)], [rename.get(z, z)], plain)
+                assert got.identifiable == expected.identifiable
+                assert [e.step for e in got.trace] == [e.step for e in expected.trace]
+                if got.identifiable:
+                    assert format_estimand(got.estimand).replace("~u0", "t") == format_estimand(expected.estimand)
 
 
 class TestTextFormat:

@@ -471,11 +471,11 @@ class TestJointIndex:
             ((256,), np.uint8),
             ((16, 16), np.uint8),
             ((257,), np.uint16),
-            ((2, 128, 1), np.uint8),  # a one-state column adds nothing
-            ((1, 256), np.uint8),
+            ((2, 128), np.uint8),  # the last factor is half the cells
+            ((3, 85), np.uint8),  # 255 cells, not a power of two
             ((256, 256), np.uint16),
             ((65_536,), np.uint16),
-            ((2, 32_768, 1), np.uint16),
+            ((2, 32_768), np.uint16),
             ((65_537,), np.uint32),
             ((2**16, 2**16), np.uint32),
             ((2**16, 2**16, 2), np.intp),  # past 32 bits, the index is intp

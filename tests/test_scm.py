@@ -6,10 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from causalgen.engine import network_law
 from causalgen.estimands import DistTable, evaluate_estimand
 from causalgen.graphs import Variable
 from causalgen.identify import identify_effect
-from causalgen.models import DRAW_CHUNK_ROWS, Dataset, draw_categorical
+from causalgen.models import DRAW_CHUNK_ROWS, Dataset
 from causalgen.scm import (
     DiscreteScm,
     ScmError,
@@ -21,6 +22,7 @@ from causalgen.scm import (
     noisy_copy_scm,
     read_scm,
     sample_observational,
+    sampling_tolerance,
     tvd,
     write_scm,
 )
@@ -47,7 +49,7 @@ def enumerate_reference(m: DiscreteScm, do) -> DistTable:
             values[name] = np.full(total, do[name])
             continue
         index = [values[p] for p in g.parents(name)] + [noise[name]]
-        index += [latent[p] for p in m.incident_latents(name)]
+        index += [latent[p] for p in pairs if name in p]
         values[name] = m.mechanisms[name][tuple(index)]
     cards = [v.cardinality for v in g.variables]
     flat = np.ravel_multi_index([values[name] for name in g.names], cards)
@@ -214,21 +216,6 @@ class TestSampling:
         assert tvd(emp, exact_joint(m)) < 0.01
 
 
-def gather_reference(m: DiscreteScm, n: int, rng: np.random.Generator) -> np.ndarray:
-    """The rows `sample_observational` drew before the joint index: the same
-    exogenous draws, pushed through `mechanisms[name][tuple(index)]`, a
-    multi-array fancy index into each mechanism."""
-    g = m.graph
-    noise = {name: draw_categorical(m.noise[name], (), n, rng) for name in g.names}
-    latents = {pair: draw_categorical(m.latents[pair], (), n, rng) for pair in g.latent_pairs()}
-    values = {}
-    for name in g.topological_order():
-        index = [values[p] for p in g.parents(name)] + [noise[name]]
-        index += [latents[p] for p in m.incident_latents(name)]
-        values[name] = m.mechanisms[name][tuple(index)]
-    return np.stack([values[name] for name in g.names], axis=1)
-
-
 def one_state_latent_scm() -> DiscreteScm:
     """A 300-state cause of a binary effect, confounded by a one-state latent,
     so a mechanism has an axis of one state and its joint index needs uint16."""
@@ -241,28 +228,69 @@ def one_state_latent_scm() -> DiscreteScm:
     return DiscreteScm(g, noise, {("A", "B"): np.array([1.0])}, {"A": mech_a, "B": mech_b})
 
 
-class TestJointIndexLookup:
-    @pytest.mark.parametrize(
-        "name", ["frontdoor", "backdoor", "zigzag", "napkin", "double_napkin", "bow", "mixed", "one-state latent"]
+def network_cases():
+    """The SCMs the network tests sample: the catalog, mixed cardinalities with
+    shared latents, a one-state latent, a declaration order that is not
+    topological, and variables named like the network's latent nodes."""
+    yield from ((entry.name, entry.scm) for entry in catalog())
+    mixed = admg(
+        [("A", 3), ("B", 2), ("C", 4), ("D", 2)],
+        [("A", "B"), ("B", "C"), ("A", "D")],
+        [("A", "C"), ("B", "C"), ("C", "D")],
     )
-    def test_matches_fancy_index_gather(self, name):
-        if name == "mixed":
-            g = admg(
-                [("A", 3), ("B", 2), ("C", 4), ("D", 2)],
-                [("A", "B"), ("B", "C"), ("A", "D")],
-                [("A", "C"), ("B", "C"), ("C", "D")],
-            )
-            m = random_mechanism_scm(g, np.random.default_rng(5))
-        elif name == "one-state latent":
-            m = one_state_latent_scm()
-        else:
-            m = catalog_entry(name).scm
+    yield "mixed", random_mechanism_scm(mixed, np.random.default_rng(5))
+    yield "one-state latent", one_state_latent_scm()
+    backwards = admg([("C", 2), ("B", 3), ("A", 2)], [("A", "B"), ("B", "C")], [("A", "C")])
+    yield "not topological", random_mechanism_scm(backwards, np.random.default_rng(6))
+    clash = admg("~u0 ~~u1 u0", [("~u0", "~~u1"), ("~~u1", "u0")], [("~u0", "u0"), ("~~u1", "u0")])
+    yield "latent names", random_mechanism_scm(clash, np.random.default_rng(7))
+
+
+NETWORK_CASES = dict(network_cases())
+
+
+class TestScmNetwork:
+    @pytest.mark.parametrize("name", NETWORK_CASES)
+    def test_law_is_the_enumeration(self, name):
+        m = NETWORK_CASES[name]
+        law = network_law(m.network, [], m.graph.names)
+        assert np.abs(law.probs - enumerate_reference(m, {}).probs).max() <= 1e-12
+
+    @pytest.mark.parametrize("name", NETWORK_CASES)
+    def test_nodes(self, name):
+        m = NETWORK_CASES[name]
+        h, g = m.network, m.graph
+        latents = [pair for pair in g.latent_pairs() if len(m.latents[pair]) > 1]
+        assert h.node_order[len(latents):] == g.topological_order()
+        for u, pair in zip(h.node_order, latents):
+            assert u not in g.names and h.nodes[u].context == ()
+            assert np.array_equal(h.nodes[u].table, m.latents[pair])
+        assert m.network is h  # built once
+
+    def test_refuses_a_non_integer_mechanism(self):
+        g = admg("A B", [("A", "B")])
+        noise = {"A": np.array([0.5, 0.5]), "B": np.array([0.5, 0.5])}
+        mech = {"A": np.array([0, 1]), "B": np.array([[0, 1], [0.5, 1]])}
+        with pytest.raises(ScmError, match="mechanism for B must hold integers"):
+            DiscreteScm(g, noise, {}, mech)
+
+
+class TestJointIndexLookup:
+    """`sample_observational` reads each variable's kernel row at the joint
+    index of its parents and latents, through the network's models."""
+
+    @pytest.mark.parametrize("name", NETWORK_CASES)
+    def test_draws_the_exact_joint(self, name):
+        m = NETWORK_CASES[name]
+        g = m.graph
         # past two chunk seams
         n = 2 * DRAW_CHUNK_ROWS + 3
         d = sample_observational(m, n, np.random.default_rng(13))
-        expected = gather_reference(m, n, np.random.default_rng(13))
-        assert d.rows.dtype == np.min_scalar_type(max(v.cardinality for v in m.graph.variables) - 1)
-        assert np.array_equal(d.rows, expected)
+        assert d.rows.dtype == np.min_scalar_type(max(v.cardinality for v in g.variables) - 1)
+        assert d.variables == g.variables
+        exact = exact_joint(m)
+        bound = sampling_tolerance(exact.probs.size, n)
+        assert tvd(empirical_distribution(d, g.names), exact) <= bound
 
     def test_allocates_no_row_sized_index(self):
         # the rows and the exogenous columns take one byte a value; an intp index of
