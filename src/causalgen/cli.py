@@ -203,7 +203,7 @@ def _eval_one(entry: scm.CatalogEntry, query: scm.CatalogQuery, args, rng) -> st
         table = evaluate_estimand(ref.estimand, joint)
         truth = lambda fixed: table.fix({k: v for k, v in fixed.items() if k in table.names})
     else:
-        truth = lambda fixed: scm.exact_interventional(entry.scm, fixed).marginal(query.targets)
+        truth = lambda fixed: scm.exact_interventional(entry.scm, fixed, query.targets)
     obs = scm.sample_observational(entry.scm, args.obs_n, rng)
     columns = [
         f"{_worst_tvd(g, query, source, truth, args, rng):.4f}"

@@ -257,7 +257,8 @@ def network_law(h: SamplingNetwork, inputs: Iterable[DistTable], keep: Sequence[
     factors = [(t.names, t.probs) for t in inputs]
     models = [h.nodes[n] for n in h.node_order if h.nodes[n] is not None]
     factors += [(m.context_names + (m.target.name,), m.conditional_table()) for m in models]
-    return DistTable(tuple(h.variables[n] for n in keep), contract(factors, keep))
+    probs = contract(factors, keep)  # first, so it refuses a name no table holds
+    return DistTable(tuple(h.variables[n] for n in keep), probs)
 
 
 def _node_columns(h: SamplingNetwork, rows: np.ndarray) -> dict[str, np.ndarray]:

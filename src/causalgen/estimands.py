@@ -6,11 +6,13 @@ reference: either the observational joint, or a nested estimand describing the
 partially-intervened distribution produced midway through identification.
 Evaluation is exact summation over discrete states: each node evaluates to a
 labelled factor with one axis per free variable, and every product and sum is
-one `contract` call.
+one `contract` call, the one exact-law engine: variable elimination under the
+one `ENUMERATION_BUDGET`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence, Union
 
@@ -71,18 +73,48 @@ class DistTable:
 
 Factor = tuple[Sequence[Hashable], np.ndarray]  # (axis labels, table)
 
+# cells of the index space (every label of the call) one `np.einsum` may loop over
+ENUMERATION_BUDGET = 10_000_000
+
 
 def contract(factors: Iterable[Factor], keep: Sequence[Hashable]) -> np.ndarray:
-    """Multiply labelled tables and sum out every label not in `keep`; the
-    result's axes follow `keep`."""
-    index: dict = {}
-    operands: list = []
-    for labels, table in factors:
-        operands += [table, [index.setdefault(label, len(index)) for label in labels]]
-    unknown = [label for label in keep if label not in index]
+    """Multiply labelled tables and sum out every label not in `keep`, the
+    result's axes following `keep`, by variable elimination in min-size greedy
+    order (Koller & Friedman, *Probabilistic Graphical Models*, ch. 9): while
+    a hidden label remains, the one whose factors span the fewest cells goes,
+    by multiplying just those factors and summing out every hidden label no
+    other factor holds; one product onto `keep` finishes. Labels are visited
+    in first-appearance order, ties too, so the order and the floats are fixed."""
+    pending = [(tuple(labels), table) for labels, table in factors]
+    size = {label: n for labels, table in pending for label, n in zip(labels, table.shape)}
+    unknown = [label for label in keep if label not in size]
     if unknown:
         raise EvaluationError(f"unknown variables {unknown}")
-    return np.einsum(*operands, [index[label] for label in keep])
+    hidden = [label for label in size if label not in keep]
+    while hidden and len(pending) > 1:
+        spans = [dict.fromkeys(x for labels, _ in pending if h in labels for x in labels) for h in hidden]
+        k = min(range(len(hidden)), key=lambda i: math.prod(size[x] for x in spans[i]))
+        group = [f for f in pending if hidden[k] in f[0]]
+        if len(group) == len(pending):  # the last product would be this one
+            break
+        pending = [f for f in pending if hidden[k] not in f[0]]
+        held = {x for labels, _ in pending for x in labels}.union(keep)
+        out = tuple(x for x in spans[k] if x in held)
+        pending.append((out, _einsum(group, out, size)))
+        hidden = [x for x in hidden if x in held]
+    return _einsum(pending, keep, size)
+
+
+def _einsum(factors: Sequence[Factor], out: Sequence[Hashable], size: dict) -> np.ndarray:
+    """One `np.einsum` product of labelled tables onto `out`, refused when its
+    index space exceeds `ENUMERATION_BUDGET`."""
+    index, operands = {}, []
+    for labels, table in factors:
+        operands += [table, [index.setdefault(label, len(index)) for label in labels]]
+    cells = math.prod(size[label] for label in index)
+    if cells > ENUMERATION_BUDGET:
+        raise EvaluationError(f"a product over {cells} cells exceeds the enumeration budget of {ENUMERATION_BUDGET}")
+    return np.einsum(*operands, [index[label] for label in out])
 
 
 # -- expression tree -----------------------------------------------------------

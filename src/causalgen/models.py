@@ -336,13 +336,6 @@ class ConditionalModel:
     def context_names(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.context)
 
-    def sample(self, ctx: Mapping[str, int], rng: np.random.Generator) -> int:
-        missing = [v.name for v in self.context if v.name not in ctx]
-        if missing:
-            raise DataError(f"missing context values {missing} for {self.target.name}")
-        cols = {v.name: np.array([ctx[v.name]]) for v in self.context}
-        return int(self.sample_n(cols, 1, rng)[0])
-
     def sample_n(self, ctx_cols: Mapping[str, np.ndarray], n: int, rng: np.random.Generator) -> np.ndarray:
         """n draws, row i given the i-th value of each context column; a column
         that is missing or leaves its cardinality is refused, once per call."""

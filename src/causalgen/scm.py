@@ -6,30 +6,26 @@ mapping (parent values, noise, incident latents) to an output state. It is
 read as one sampling network, built once (`DiscreteScm.network`): the latent
 priors, then each variable's kernel P(v | parents, incident latents), its
 mechanism with the noise summed out. The engine's ancestral node loop draws
-observational rows through it; the exact joints and interventionals every
-soundness test compares against contract its tables, one latent at a time
-(variable elimination, Koller & Friedman, *Probabilistic Graphical Models*,
-ch. 9). `ENUMERATION_BUDGET` bounds the cells of every table this builds, the
-output joint included, so the cost follows the size of the joint table rather
-than the size of the exogenous space.
+observational rows through it. The exact oracle every soundness test compares
+against is that network's law (`engine.network_law`) with a point mass on
+each do-variable, so `estimands.contract` eliminates its labels under its one
+budget: the cost follows the tables elimination builds, not the exogenous
+space, and the law of a few targets is reached where the joint is refused.
 """
-
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .engine import SamplingNetwork, _draw_nodes
-from .estimands import DistTable, Factor, contract
+from .engine import SamplingNetwork, _draw_nodes, network_law
+from .estimands import DistTable, EvaluationError
 from .graphs import Admg, Variable, format_graph, parse_graph
 from .models import DataError, Dataset, ExactConditionalModel, empty_rows
-
-ENUMERATION_BUDGET = 10_000_000
 
 
 class ScmError(ValueError):
@@ -67,9 +63,10 @@ class DiscreteScm:
         for pair, probs in self.latents.items():
             if not _is_distribution(probs):
                 raise ScmError(f"bad latent distribution for {pair}")
-        joint = exact_joint(self)
-        if joint.probs.min() <= 0:
-            raise ScmError("observational joint is not strictly positive")
+        # positive priors and kernels give a positive joint; otherwise build it to see
+        if any((model.table <= 0).any() for model in self.network.nodes.values()):
+            if exact_joint(self).probs.min() <= 0:
+                raise ScmError("observational joint is not strictly positive")
 
     @cached_property  # the oracle and every draw read it
     def network(self) -> SamplingNetwork:
@@ -113,43 +110,30 @@ def sample_observational(m: DiscreteScm, n: int, rng: np.random.Generator) -> Da
     return Dataset(g.variables, rows)
 
 
-def _product(factors: Sequence[Factor], keep: Sequence) -> np.ndarray:
-    """`contract` under the enumeration budget on the output's cells."""
-    dims = {label: size for labels, table in factors for label, size in zip(labels, table.shape)}
-    cells = math.prod(dims[label] for label in keep)
-    if cells > ENUMERATION_BUDGET:
-        raise ScmError(f"table of {cells} cells exceeds the enumeration budget")
-    return contract(factors, keep)
-
-
-def _eliminate(m: DiscreteScm, do: Mapping[str, int]) -> DistTable:
-    """P(V | do(...)) with axes in `graph.names` order: the tables of
-    `m.network` (point masses for do-variables), multiplied and summed over
-    each latent node in turn."""
-    g, h = m.graph, m.network
-    factors: list[Factor] = [
-        ((name,), np.eye(model.target.cardinality)[do[name]]) if name in do else ((*model.context_names, name), model.table)
-        for name, model in h.nodes.items()
-    ]
-    for latent in h.node_order[: -len(g.names)]:  # the latent nodes come first
-        group = [f for f in factors if latent in f[0]]
-        factors = [f for f in factors if latent not in f[0]]
-        keep = tuple(dict.fromkeys(x for labels, _ in group for x in labels if x != latent))
-        factors.append((keep, _product(group, keep)))
-    return DistTable(g.variables, _product(factors, g.names))
-
-
 def exact_joint(m: DiscreteScm) -> DistTable:
-    """Exact observational joint P(V) by factor elimination."""
-    return _eliminate(m, {})
+    """Exact observational joint P(V), axes in declaration order."""
+    return _law(m, {}, m.graph.names)
 
 
-def exact_interventional(m: DiscreteScm, do: Mapping[str, int]) -> DistTable:
-    """Exact P(V | do(...)): each do-variable's kernel becomes a point mass."""
+def exact_interventional(m: DiscreteScm, do: Mapping[str, int], keep: Sequence[str] | None = None) -> DistTable:
+    """Exact P(keep | do(...)), `keep` every variable in declaration order by
+    default: each do-variable's kernel becomes a point mass at its value."""
+    return _law(m, do, m.graph.names if keep is None else keep)
+
+
+def _law(m: DiscreteScm, do: Mapping[str, int], keep: Sequence[str]) -> DistTable:
+    """`engine.network_law` of `m.network` with the do-variables' nodes left
+    empty and point masses on them; a refused contraction is an `ScmError`."""
+    masses = []
     for name, value in do.items():
-        if not 0 <= value < m.graph.variable(name).cardinality:
+        v = m.graph.variable(name)
+        if not 0 <= value < v.cardinality:
             raise ScmError(f"do value {value} out of range for {name}")
-    return _eliminate(m, do)
+        masses.append(DistTable((v,), np.eye(v.cardinality)[value]))
+    try:
+        return network_law(replace(m.network, nodes={**m.network.nodes, **dict.fromkeys(do)}), masses, keep)
+    except EvaluationError as exc:
+        raise ScmError(str(exc)) from None
 
 
 # -- metrics ---------------------------------------------------------------------
@@ -261,46 +245,33 @@ def catalog_graphs() -> dict[str, Admg]:
     return graphs
 
 
-def catalog() -> list[CatalogEntry]:
-    """Reference SCMs with their queries and identifiability flags.
-
-    The flags are re-verified against symbolic identification at build time.
-    """
-    from .identify import identify_effect  # local import avoids a cycle at import time
-
-    graphs = catalog_graphs()
-    specs = {
-        "frontdoor": [CatalogQuery(("R",), ("X",))],
-        "backdoor": [
-            CatalogQuery(("I",), ("V",)),
-            CatalogQuery(("I",), ("V",), given=("A",)),
-        ],
-        "zigzag": [CatalogQuery(("Y",), ("X",))],
-        "napkin": [
-            CatalogQuery(("Y",), ("X",)),
-            CatalogQuery(("Y",), ("W1",)),
-        ],
-        "double_napkin": [CatalogQuery(("W1", "W2", "W3", "W4", "X"), ("R",))],
-        "bow": [CatalogQuery(("Y",), ("X",), identifiable=False)],
-    }
-    entries = []
-    for name, graph in graphs.items():
-        scm = noisy_copy_scm(graph)
-        queries = []
-        for q in specs[name]:
-            result = identify_effect(q.targets, q.do, graph)
-            if result.identifiable != q.identifiable:
-                raise ScmError(f"catalog flag mismatch for {name}: {q}")
-            queries.append(q)
-        entries.append(CatalogEntry(name, scm, tuple(queries)))
-    return entries
+_CATALOG_QUERIES = {
+    "frontdoor": (CatalogQuery(("R",), ("X",)),),
+    "backdoor": (CatalogQuery(("I",), ("V",)), CatalogQuery(("I",), ("V",), given=("A",))),
+    "zigzag": (CatalogQuery(("Y",), ("X",)),),
+    "napkin": (CatalogQuery(("Y",), ("X",)), CatalogQuery(("Y",), ("W1",))),
+    "double_napkin": (CatalogQuery(("W1", "W2", "W3", "W4", "X"), ("R",)),),
+    "bow": (CatalogQuery(("Y",), ("X",), identifiable=False),),
+}
 
 
 def catalog_entry(name: str) -> CatalogEntry:
-    for entry in catalog():
-        if entry.name == name:
-            return entry
-    raise ScmError(f"no catalog entry named {name!r}")
+    """One reference SCM with its queries; their identifiability flags are
+    re-verified against symbolic identification as it is built."""
+    from .identify import identify_effect  # local import avoids a cycle at import time
+
+    graph = catalog_graphs().get(name)
+    if graph is None:
+        raise ScmError(f"no catalog entry named {name!r}")
+    for q in _CATALOG_QUERIES[name]:
+        if identify_effect(q.targets, q.do, graph).identifiable != q.identifiable:
+            raise ScmError(f"catalog flag mismatch for {name}: {q}")
+    return CatalogEntry(name, noisy_copy_scm(graph), _CATALOG_QUERIES[name])
+
+
+def catalog() -> list[CatalogEntry]:
+    """Every reference SCM with its queries, in catalog order."""
+    return [catalog_entry(name) for name in _CATALOG_QUERIES]
 
 
 # -- text format -------------------------------------------------------------------

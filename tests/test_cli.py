@@ -92,6 +92,13 @@ class TestGenData:
             paths.append(hashlib.sha256(out.read_bytes()).hexdigest())
         assert paths[0] == paths[1]
 
+    def test_needs_no_joint(self, tmp_path):
+        # 2^48 joint cells are past the enumeration budget; sampling reads only the kernels
+        write_scm(noisy_copy_scm(confounded_chain(48)), tmp_path / "c.scm", tmp_path / "c.graph")
+        out = tmp_path / "obs.csv"
+        assert main(["gen-data", "--scm", str(tmp_path / "c.scm"), "--n", "100", "--out", str(out)]) == 0
+        assert read_dataset_csv(out, tmp_path / "obs.sidecar.json").names[-1] == "V47"
+
     def test_rejects_nonpositive_n(self, frontdoor_files, capsys):
         code = main(["gen-data", "--scm", str(frontdoor_files / "frontdoor.scm"), "--n", "0",
                      "--out", str(frontdoor_files / "x.csv")])
@@ -232,6 +239,12 @@ class TestEval:
         assert code == 0
         assert "fitted tvd" in out and "frontdoor" in out
 
+    def test_joint_past_the_budget_is_one_line(self, tmp_path, capsys):
+        write_scm(noisy_copy_scm(confounded_chain(24)), tmp_path / "c.scm", tmp_path / "c.graph")
+        (tmp_path / "q.txt").write_text("target=V23\ndo=V0=1\n")
+        assert_input_error(capsys, ["eval", "--scm", str(tmp_path / "c.scm"), "--query", str(tmp_path / "q.txt"),
+                                    "--n", "100", "--obs-n", "100"], "budget")
+
     def test_catalog_hedge_row(self, capsys):
         code = main(["eval", "--catalog", "bow", "--n", "1000", "--obs-n", "1000"])
         out = capsys.readouterr().out
@@ -250,12 +263,18 @@ class TestEval:
         assert rows == single
 
 
+def confounded_chain(n: int):
+    """V0 -> ... -> V(n-1) with V0 <-> V(n-1)."""
+    names = [f"V{i}" for i in range(n)]
+    return admg(" ".join(names), list(zip(names, names[1:])), [(names[0], names[-1])])
+
+
 def long_chain_sample(tmp_path, n: int) -> list[str]:
     """`sample` argv for V0 -> ... -> V(n-1) with V0 <-> V(n-1), target V(n-1)
     and do(V0=1), against 200 rows of binary data; step 7 draws the n - 2
     variables between them."""
     names = [f"V{i}" for i in range(n)]
-    g = admg(" ".join(names), list(zip(names, names[1:])), [(names[0], names[-1])])
+    g = confounded_chain(n)
     (tmp_path / "g.graph").write_text(format_graph(g))
     (tmp_path / "q.txt").write_text(f"target={names[-1]}\ndo=V0=1\n")
     rows = np.random.default_rng(0).integers(0, 2, size=(200, n))

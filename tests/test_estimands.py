@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from causalgen.estimands import (
+    ENUMERATION_BUDGET,
     CondTerm,
     DistTable,
     EvaluationError,
@@ -11,6 +12,7 @@ from causalgen.estimands import (
     Product,
     Quotient,
     SumOver,
+    contract,
     evaluate_estimand,
     format_estimand,
     free_variables,
@@ -178,3 +180,62 @@ class TestAgainstBroadcastReference:
             conditional += bool(z)
             mixed += any(c > 2 for c in shape)
         assert conditional >= 100 and mixed >= 100
+
+
+def einsum_reference(factors, keep):
+    """The product as one `np.einsum` over every label at once, with no
+    elimination order and no budget."""
+    index, operands = {}, []
+    for labels, table in factors:
+        operands += [table, [index.setdefault(label, len(index)) for label in labels]]
+    return np.einsum(*operands, [index[label] for label in keep])
+
+
+class TestContract:
+    # plain, tuple and mixed-type labels, as the estimands and the SCM network use them
+    LABELS = ("A", "B", "C", "D", "E", ("A", "B"), ("u", 0), ("u", 1), "~u0")
+
+    def random_factors(self, rng):
+        size = {label: int(rng.integers(1, 4)) for label in self.LABELS}
+        factors = []
+        for _ in range(int(rng.integers(1, 7))):
+            picked = rng.permutation(len(self.LABELS))[: int(rng.integers(0, 5))]
+            labels = tuple(self.LABELS[i] for i in picked)
+            factors.append((labels, rng.random(tuple(size[x] for x in labels))))
+        present = list(dict.fromkeys(x for labels, _ in factors for x in labels))
+        keep = [present[i] for i in rng.permutation(len(present))[: int(rng.integers(0, len(present) + 1))]]
+        return factors, tuple(keep)
+
+    def test_matches_one_einsum(self):
+        rng = np.random.default_rng(2402)
+        seen = dict.fromkeys(("tuple label", "0-d table", "keep held by one factor", "empty keep"), 0)
+        for _ in range(400):
+            factors, keep = self.random_factors(rng)
+            got, want = contract(factors, keep), einsum_reference(factors, keep)
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-300)
+            held = [sum(x in labels for labels, _ in factors) for x in keep]
+            seen["tuple label"] += any(isinstance(x, tuple) for labels, _ in factors for x in labels)
+            seen["0-d table"] += any(table.ndim == 0 for _, table in factors)
+            seen["keep held by one factor"] += 1 in held and len(factors) > 1
+            seen["empty keep"] += not keep
+        assert min(seen.values()) >= 30, seen
+
+    def test_eliminates_a_chain_one_label_at_a_time(self):
+        # 60 labels: one einsum over all of them would loop over 2^60 cells
+        rng = np.random.default_rng(5)
+        mats = [rng.random((2, 2)) for _ in range(59)]
+        got = contract([((i, i + 1), m) for i, m in enumerate(mats)], (0, 59))
+        np.testing.assert_allclose(got, np.linalg.multi_dot(mats), rtol=1e-12)
+
+    def test_budget_bounds_the_index_space(self):
+        # one output cell, but the product loops over 4000 * 4000 > 10^7 cells;
+        # a broadcast view holds them without allocating
+        wide = np.broadcast_to(1.0, (4000, 4000))
+        assert wide.size > ENUMERATION_BUDGET
+        with pytest.raises(EvaluationError, match="budget"):
+            contract([(("a", "b"), wide)], ())
+
+    def test_unknown_keep_label(self):
+        with pytest.raises(EvaluationError, match="unknown"):
+            contract([(("a",), np.ones(2))], ("b",))

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import causalgen
 from causalgen.engine import network_law
 from causalgen.estimands import DistTable, evaluate_estimand
 from causalgen.graphs import Variable
@@ -118,14 +123,30 @@ class TestExactJoint:
         with pytest.raises(ScmError):
             DiscreteScm(g, {"A": np.array([1.0, 0.0])}, {}, {"A": np.array([0, 1])})
 
+    def test_refuses_a_state_never_emitted(self):
+        g = admg("A")
+        with pytest.raises(ScmError, match="not strictly positive"):
+            DiscreteScm(g, {"A": np.array([0.5, 0.5])}, {}, {"A": np.array([0, 0])})
+
+    def test_accepts_zero_kernel_entries_when_the_joint_is_positive(self):
+        # A copies the latent it shares with B: P(A | u) is 0 or 1, P(A) is not
+        g = admg("A B", [], [("A", "B")])
+        noise = {"A": np.array([1.0]), "B": np.array([0.5, 0.5])}
+        mech = {"A": np.array([[0, 1]]), "B": np.array([[0, 1], [1, 0]])}
+        m = DiscreteScm(g, noise, {("A", "B"): np.array([0.3, 0.7])}, mech)
+        assert (m.network.nodes["A"].table == 0).any()
+        assert np.abs(exact_joint(m).probs - 0.5 * np.array([[0.3, 0.3], [0.7, 0.7]])).max() <= 1e-12
+
     def test_enumeration_budget_enforced(self):
-        # 24 independent coins: 2^24 exogenous states exceed the budget
+        # 24 independent coins: positive kernels, so the SCM is built, but the
+        # joint of 2^24 cells exceeds the budget
         names = [f"V{i}" for i in range(24)]
         g = admg(" ".join(names))
         noise = {n: np.array([0.5, 0.5]) for n in names}
         mech = {n: np.array([0, 1]) for n in names}
+        m = DiscreteScm(g, noise, {}, mech)
         with pytest.raises(ScmError, match="budget"):
-            DiscreteScm(g, noise, {}, mech)
+            exact_joint(m)
 
 
 class TestOracleAgainstEnumeration:
@@ -170,6 +191,69 @@ class TestOracleAgainstEnumeration:
         assert table.total() == pytest.approx(1.0, abs=1e-12)
 
 
+def transfer_reference(m: DiscreteScm, n: int, value: int) -> np.ndarray:
+    """P(V(n-1) | do(V0 = value)) on the confounded chain from the kernels of
+    `m.network`: V0's point mass pushed through V1 ... V(n-2) by matrix
+    products, then V(n-1)'s kernel averaged over the latent's prior."""
+    h = m.network
+    last = h.nodes[f"V{n - 1}"]
+    parent, latent = last.context_names
+    assert parent == f"V{n - 2}"
+    state = np.eye(2)[value]
+    for k in range(1, n - 1):
+        assert h.nodes[f"V{k}"].context_names == (f"V{k - 1}",)
+        state = state @ h.nodes[f"V{k}"].table
+    return np.einsum("p,u,puy->y", state, h.nodes[latent].table, last.table)
+
+
+class TestTargetOnlyOracle:
+    @pytest.mark.parametrize("n", [24, 48, 100])
+    def test_chain_matches_transfer_matrices(self, n):
+        # the joint of 2^n cells is past the budget, P(V(n-1) | do(V0)) is not
+        m = noisy_copy_scm(confounded_chain(n))
+        for value in range(2):
+            got = exact_interventional(m, {"V0": value}, keep=(f"V{n - 1}",))
+            assert got.names == (f"V{n - 1}",)
+            assert np.abs(got.probs - transfer_reference(m, n, value)).max() <= 1e-12
+        with pytest.raises(ScmError, match="budget"):
+            exact_joint(m)
+
+    def test_keep_is_the_marginal_in_its_order(self):
+        m = catalog_entry("double_napkin").scm
+        full = exact_interventional(m, {"R": 1})
+        assert full.names == m.graph.names
+        got = exact_interventional(m, {"R": 1}, keep=("X", "W3", "W1"))
+        want = full.marginal(["X", "W3", "W1"])  # in declaration order: W3, W1, X
+        assert got.names == ("X", "W3", "W1")
+        assert np.abs(got.probs - want.probs.transpose(2, 0, 1)).max() <= 1e-12
+
+    def test_bytes_do_not_depend_on_the_hash_seed(self):
+        # ties in the elimination order are broken by first appearance, never
+        # by iterating a set of string labels, whose order follows the hash seed
+        code = (
+            "import hashlib\n"
+            "from causalgen.graphs import Admg, Variable\n"
+            "from causalgen.scm import catalog_entry, exact_interventional, noisy_copy_scm\n"
+            "names = [f'V{i}' for i in range(16)]\n"
+            "chain = noisy_copy_scm(Admg([Variable(v, 2) for v in names], list(zip(names, names[1:])),"
+            " [('V0', 'V15'), ('V3', 'V9'), ('V5', 'V12')]))\n"
+            "napkin = catalog_entry('double_napkin').scm\n"
+            "tables = [exact_interventional(chain, {'V0': 1}, keep=('V15', 'V7')),"
+            " exact_interventional(chain, {'V4': 0}, keep=('V2',)),"
+            " exact_interventional(napkin, {'R': 1}), exact_interventional(napkin, {'W2': 0}, keep=('X',))]\n"
+            "print(hashlib.sha256(b''.join(t.probs.tobytes() for t in tables)).hexdigest())\n"
+        )
+        src = str(Path(causalgen.__file__).resolve().parents[1])
+        digests = {
+            subprocess.run(
+                [sys.executable, "-c", code], env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for seed in ("0", "1", "2")
+        }
+        assert len(digests) == 1, digests
+
+
 class TestExactInterventional:
     def test_do_on_unconfounded_source_equals_conditioning(self):
         m = noisy_copy_scm(chain_graph())
@@ -196,6 +280,11 @@ class TestExactInterventional:
         m = noisy_copy_scm(chain_graph())
         with pytest.raises(ScmError):
             exact_interventional(m, {"A": 5})
+
+    def test_unknown_keep_name(self):
+        m = noisy_copy_scm(chain_graph())
+        with pytest.raises(ScmError, match="unknown variables"):
+            exact_interventional(m, {"A": 1}, keep=("Q",))
 
 
 class TestSampling:
