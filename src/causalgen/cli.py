@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import engine, identify, scm
-from .estimands import evaluate_estimand, format_estimand
+from .estimands import EvaluationError, evaluate_estimand, format_estimand
 from .graphs import Admg, GraphError, parse_graph
 from .models import DataError, read_dataset_csv, write_dataset_csv
 
@@ -39,7 +39,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.handler(args)
-    except (InputError, GraphError, DataError, scm.ScmError, engine.EngineError, OSError, MemoryError) as exc:
+    except (InputError, GraphError, DataError, EvaluationError, scm.ScmError, engine.EngineError, OSError,
+            MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -22,7 +22,8 @@ from .graphs import Variable
 
 
 class EvaluationError(ValueError):
-    """Estimand references variables the table lacks, or hits a zero denominator."""
+    """Estimand references variables the table lacks, hits a zero denominator,
+    or takes a product past `ENUMERATION_BUDGET`."""
 
 
 # -- distribution tables -------------------------------------------------------

@@ -212,46 +212,39 @@ def noisy_copy_scm(graph: Admg) -> DiscreteScm:
     return DiscreteScm(graph, noise, latents, mechanisms)
 
 
-def _graph(variables: Sequence[tuple[str, int]], directed, bidirected) -> Admg:
-    return Admg([Variable(n, c) for n, c in variables], directed, bidirected)
-
-
-def catalog_graphs() -> dict[str, Admg]:
-    b = [("X", 2), ("S", 2), ("R", 2)]
-    graphs = {
-        "frontdoor": _graph(b, [("X", "S"), ("S", "R")], [("X", "R")]),
-        "backdoor": _graph(
-            [("A", 2), ("B", 2), ("V", 2), ("I", 2)],
-            [("A", "B"), ("A", "V"), ("B", "V"), ("V", "I")],
-            [("B", "I")],
-        ),
-        "zigzag": _graph(
-            [("X", 2), ("W1", 2), ("W2", 2), ("Y", 2)],
-            [("X", "W1"), ("W1", "W2"), ("W2", "Y")],
-            [("X", "W2"), ("W1", "Y")],
-        ),
-        "napkin": _graph(
-            [("W1", 2), ("W2", 2), ("X", 2), ("Y", 2)],
-            [("W1", "W2"), ("W2", "X"), ("X", "Y")],
-            [("W1", "X"), ("W1", "Y")],
-        ),
-        "double_napkin": _graph(
-            [("W3", 2), ("W4", 2), ("R", 2), ("W2", 2), ("W1", 2), ("X", 2)],
-            [("W3", "W4"), ("R", "W2"), ("W2", "W1"), ("W4", "W1"), ("W1", "X"), ("W2", "X")],
-            [("W3", "W2"), ("R", "W1"), ("R", "X")],
-        ),
-        "bow": _graph([("X", 2), ("Y", 2)], [("X", "Y")], [("X", "Y")]),
-    }
-    return graphs
-
-
-_CATALOG_QUERIES = {
-    "frontdoor": (CatalogQuery(("R",), ("X",)),),
-    "backdoor": (CatalogQuery(("I",), ("V",)), CatalogQuery(("I",), ("V",), given=("A",))),
-    "zigzag": (CatalogQuery(("Y",), ("X",)),),
-    "napkin": (CatalogQuery(("Y",), ("X",)), CatalogQuery(("Y",), ("W1",))),
-    "double_napkin": (CatalogQuery(("W1", "W2", "W3", "W4", "X"), ("R",)),),
-    "bow": (CatalogQuery(("Y",), ("X",), identifiable=False),),
+# name -> (variables, directed edges, bidirected edges, queries), in catalog order
+_CATALOG = {
+    "frontdoor": (
+        [("X", 2), ("S", 2), ("R", 2)],
+        [("X", "S"), ("S", "R")],
+        [("X", "R")],
+        (CatalogQuery(("R",), ("X",)),),
+    ),
+    "backdoor": (
+        [("A", 2), ("B", 2), ("V", 2), ("I", 2)],
+        [("A", "B"), ("A", "V"), ("B", "V"), ("V", "I")],
+        [("B", "I")],
+        (CatalogQuery(("I",), ("V",)), CatalogQuery(("I",), ("V",), given=("A",))),
+    ),
+    "zigzag": (
+        [("X", 2), ("W1", 2), ("W2", 2), ("Y", 2)],
+        [("X", "W1"), ("W1", "W2"), ("W2", "Y")],
+        [("X", "W2"), ("W1", "Y")],
+        (CatalogQuery(("Y",), ("X",)),),
+    ),
+    "napkin": (
+        [("W1", 2), ("W2", 2), ("X", 2), ("Y", 2)],
+        [("W1", "W2"), ("W2", "X"), ("X", "Y")],
+        [("W1", "X"), ("W1", "Y")],
+        (CatalogQuery(("Y",), ("X",)), CatalogQuery(("Y",), ("W1",))),
+    ),
+    "double_napkin": (
+        [("W3", 2), ("W4", 2), ("R", 2), ("W2", 2), ("W1", 2), ("X", 2)],
+        [("W3", "W4"), ("R", "W2"), ("W2", "W1"), ("W4", "W1"), ("W1", "X"), ("W2", "X")],
+        [("W3", "W2"), ("R", "W1"), ("R", "X")],
+        (CatalogQuery(("W1", "W2", "W3", "W4", "X"), ("R",)),),
+    ),
+    "bow": ([("X", 2), ("Y", 2)], [("X", "Y")], [("X", "Y")], (CatalogQuery(("Y",), ("X",), identifiable=False),)),
 }
 
 
@@ -260,18 +253,19 @@ def catalog_entry(name: str) -> CatalogEntry:
     re-verified against symbolic identification as it is built."""
     from .identify import identify_effect  # local import avoids a cycle at import time
 
-    graph = catalog_graphs().get(name)
-    if graph is None:
+    if name not in _CATALOG:
         raise ScmError(f"no catalog entry named {name!r}")
-    for q in _CATALOG_QUERIES[name]:
+    variables, directed, bidirected, queries = _CATALOG[name]
+    graph = Admg([Variable(n, c) for n, c in variables], directed, bidirected)
+    for q in queries:
         if identify_effect(q.targets, q.do, graph).identifiable != q.identifiable:
             raise ScmError(f"catalog flag mismatch for {name}: {q}")
-    return CatalogEntry(name, noisy_copy_scm(graph), _CATALOG_QUERIES[name])
+    return CatalogEntry(name, noisy_copy_scm(graph), queries)
 
 
 def catalog() -> list[CatalogEntry]:
     """Every reference SCM with its queries, in catalog order."""
-    return [catalog_entry(name) for name in _CATALOG_QUERIES]
+    return [catalog_entry(name) for name in _CATALOG]
 
 
 # -- text format -------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from causalgen.cli import main
+from causalgen.estimands import ENUMERATION_BUDGET
 from causalgen.graphs import format_graph
 from causalgen.models import read_dataset_csv
 from causalgen.scm import (
@@ -448,6 +449,13 @@ class TestIngressErrors:
         # draws, 2^64 (or 2^60) cells, whose dense table no address space holds
         argv = long_chain_sample(tmp_path, n) + ["--proposal", proposal]
         assert_input_error(capsys, argv, "Unable to allocate")
+        assert not list(tmp_path.glob("o.*"))
+
+    def test_marginal_proposal_past_the_budget(self, tmp_path, capsys):
+        # the marginal proposal's table over the 24 variables step 7 draws has
+        # 2^24 cells: it fits in memory, but contracting it exceeds the budget
+        argv = long_chain_sample(tmp_path, 26) + ["--proposal", "marginal"]
+        assert_input_error(capsys, argv, f"exceeds the enumeration budget of {ENUMERATION_BUDGET}")
         assert not list(tmp_path.glob("o.*"))
 
     def test_uniform_proposal_on_a_66_node_chain(self, tmp_path, capsys):
