@@ -273,7 +273,7 @@ def _draw_nodes(h: SamplingNetwork, cols: Mapping[str, np.ndarray], filled: Iter
     the columns before it; `filled` must name every placeholder."""
     for name in h.node_order:
         if name not in filled:
-            cols[name][:] = h.nodes[name].sample_n(cols, len(cols[name]), rng)
+            h.nodes[name].sample_n(cols, len(cols[name]), rng, out=cols[name])
 
 
 def format_network(h: SamplingNetwork) -> str:

@@ -9,15 +9,18 @@ place.
 
 The CSV format is a header line of comma-separated names, then one line per
 row of comma-separated decimal integers (`%d`), with an optional JSON sidecar
-of cardinalities and intervened columns. The reader accepts exactly what
-`write_dataset_csv` writes, plus CRLF line ends and a missing final newline:
-a row is cells of 1-18 ASCII digits (leading zeros allowed), separated by
-commas and ended by a newline, as many cells as the header has names. It
-refuses, naming the line, spaces around a cell, a sign, `#` comments, blank
-lines, a lone carriage return, non-ASCII bytes, a wrong field count, an empty
-or longer cell, and a value at or above its sidecar cardinality. The header
-may hold no carriage return but its CRLF line end; it is decoded as UTF-8
-(undecodable bytes replaced) and stripped.
+of cardinalities and intervened columns. Both directions work on bytes with
+numpy arithmetic, a chunk at a time: the writer formats each chunk's digits
+into one reused block of bytes, and refuses a column whose cardinality is
+past 10**18, whose states would need more digits than a cell may hold. The
+reader accepts exactly what `write_dataset_csv` writes, plus CRLF line ends
+and a missing final newline: a row is cells of 1-18 ASCII digits (leading
+zeros allowed), separated by commas and ended by a newline, as many cells as
+the header has names. It refuses, naming the line, spaces around a cell, a
+sign, `#` comments, blank lines, a lone carriage return, non-ASCII bytes, a
+wrong field count, an empty or longer cell, and a value at or above its
+sidecar cardinality. The header may hold no carriage return but its CRLF
+line end; it is decoded as UTF-8 (undecodable bytes replaced) and stripped.
 
 A conditional model maps a full context assignment to a distribution over one
 target variable; it is the single plug-in seam between the network compiler and
@@ -164,16 +167,46 @@ DRAW_CHUNK_ROWS = 1 << 16  # bounds the temporary uniforms and indices of one dr
 
 
 def write_dataset_csv(d: Dataset, path: str | Path, sidecar: str | Path | None = None):
-    """The header of names, then one line of `%d` values per row: the text of
-    `np.savetxt(fmt="%d", delimiter=",")`, formatted by one `%` per chunk of
-    rows instead of one per row."""
+    """The header of names in UTF-8, then one line of decimal values per row:
+    the bytes of `np.savetxt(fmt="%d", delimiter=",")`, formatted by numpy
+    arithmetic a chunk of rows at a time, the mirror of the reader. A column
+    whose largest state has more digits than the reader parses is refused
+    before the file is opened.
+
+    A chunk is one reused (rows, Σ(places + 1)) block of bytes: each column
+    has as many digit places as its largest state, then a separator slot that
+    holds its comma, or the row's newline, from the start. Place q of a value
+    is `(value // 10**q) % 10` as an ASCII digit, or byte 0 where the value
+    has fewer than q + 1 digits; when some column has more than one place,
+    one compress per chunk drops those 0 bytes before the block is written."""
     path = Path(path)
-    line = ",".join(["%d"] * len(d.variables)) + "\n"
-    with path.open("w", newline="") as fh:
-        fh.write(",".join(d.names) + "\n")
+    wide = next((v for v in d.variables if v.cardinality > 10**CSV_MAX_DIGITS), None)
+    if wide is not None:
+        raise DataError(f"{path}: column {wide.name} has cardinality {wide.cardinality}, "
+                        f"but a CSV cell holds at most {CSV_MAX_DIGITS} digits")
+    places = [len(str(v.cardinality - 1)) for v in d.variables]
+    ends = np.cumsum([p + 1 for p in places]) - 1  # each column's separator slot
+    # a row of no columns is a bare newline, as `np.savetxt` writes it
+    text = np.full((min(d.n, CSV_CHUNK_ROWS), max(1, sum(places) + len(places))), ord(","), dtype=np.uint8)
+    text[:, -1] = ord("\n")
+    with path.open("wb") as fh:
+        fh.write((",".join(d.names) + "\n").encode())
         for start in range(0, d.n, CSV_CHUNK_ROWS):
             chunk = d.rows[start : start + CSV_CHUNK_ROWS]
-            fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
+            block = text[: len(chunk)]
+            for j, (end, p) in enumerate(zip(ends, places)):
+                col = chunk[:, j]
+                for q in range(p):
+                    high = col // 10**q if q else col
+                    # the leading place's `high` is already below 10
+                    digit = (high % 10 if q < p - 1 else high) + ord("0")
+                    if q:
+                        digit *= high > 0
+                    block[:, end - 1 - q] = digit
+            if max(places, default=1) > 1:
+                block = block.ravel()
+                block = block[block != 0]
+            fh.write(block)
     if sidecar is not None:
         meta = {
             "cardinalities": {v.name: v.cardinality for v in d.variables},
@@ -336,16 +369,18 @@ class ConditionalModel:
     def context_names(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.context)
 
-    def sample_n(self, ctx_cols: Mapping[str, np.ndarray], n: int, rng: np.random.Generator) -> np.ndarray:
-        """n draws, row i given the i-th value of each context column; a column
-        that is missing or leaves its cardinality is refused, once per call."""
+    def sample_n(self, ctx_cols: Mapping[str, np.ndarray], n: int, rng: np.random.Generator,
+                 out: np.ndarray | None = None) -> np.ndarray:
+        """n draws, row i given the i-th value of each context column, written
+        into `out` when it is given (see `draw_categorical`); a column that is
+        missing or leaves its cardinality is refused, once per call."""
         missing = [v.name for v in self.context if v.name not in ctx_cols]
         if missing:
             raise DataError(f"missing context columns {missing} for {self.target.name}")
         columns = [ctx_cols[v.name] for v in self.context]
         for v, col in zip(self.context, columns):
             _check_states(v, col)
-        return draw_categorical(self.conditional_table(), columns, n, rng)
+        return draw_categorical(self.conditional_table(), columns, n, rng, out)
 
 
 def joint_index(columns: Sequence[np.ndarray], cards: Sequence[int], n: int) -> np.ndarray:
@@ -386,18 +421,19 @@ def _unsigned(bits: int) -> np.dtype:
 
 
 def draw_categorical(table: np.ndarray, context: Sequence[np.ndarray], n: int,
-                     rng: np.random.Generator) -> np.ndarray:
+                     rng: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
     """One inverse-CDF draw for each of n rows, from the row of `table`, shaped
     (context cardinalities..., states), that the row's `context` columns pick:
     how many of that row's cumulative probabilities, the last one excluded, a
     uniform exceeds, found by a branchless binary search in log2(k) gathers per
-    draw (comparing with every threshold would cost k). The states come in the
-    narrowest unsigned dtype, uint8 for k <= 256. Rows are drawn a chunk at a
-    time, the search running in place on the chunk's slice of the result, so no
-    temporary has n entries; the chunks' uniforms are the stream of one
-    `rng.random(n)`. A chunk's table rows are its context's joint index, by
-    the Horner's rule of `joint_index`, written into a reused intp buffer; the
-    context must lie within its cardinalities."""
+    draw (comparing with every threshold would cost k). The states are written
+    into `out`, n entries of any unsigned dtype that holds k - 1, or else into
+    a new array of the narrowest unsigned dtype, uint8 for k <= 256. Rows are
+    drawn a chunk at a time, the search running in place on the chunk's slice
+    of the result, so no temporary has n entries; the chunks' uniforms are the
+    stream of one `rng.random(n)`. A chunk's table rows are its context's
+    joint index, by the Horner's rule of `joint_index`, written into a reused
+    intp buffer; the context must lie within its cardinalities."""
     *cards, k = table.shape
     width = 1 << (k - 1).bit_length()
     # row r holds its thresholds at r * width + 1 ..., padded with +inf; slot 0 is unused
@@ -405,7 +441,8 @@ def draw_categorical(table: np.ndarray, context: Sequence[np.ndarray], n: int,
     np.add.accumulate(table.reshape(-1, k)[:, :-1], axis=1, out=thresholds[:, 1:k])
     thresholds = thresholds.ravel()
     dtype = _unsigned((width - 1).bit_length())
-    states = np.empty(n, dtype=dtype)
+    # a dtype that holds k - 1 has its bits, so it holds every state of the search, up to width - 1
+    states = np.empty(n, dtype=dtype) if out is None else out
     # the chunk's row indices, and the probe: a flat index gathers twice as fast as a 2-D one
     rows, probe = np.empty((2, min(n, DRAW_CHUNK_ROWS)), dtype=np.intp)
     row = 0  # without a context every draw reads row 0

@@ -19,6 +19,7 @@ from causalgen.scm import (
     write_scm,
 )
 from conftest import admg, bow_graph
+from test_models import savetxt_reference
 
 
 @pytest.fixture
@@ -130,6 +131,19 @@ class TestSample:
         assert code == 0
         manifest = out.with_suffix(".manifest").read_text()
         assert "kind=cpt" in manifest
+
+    def test_csvs_are_savetxt_text(self, frontdoor_files):
+        # the bytes of `np.savetxt` on the dataset each file reads back as
+        obs, out = frontdoor_files / "obs", frontdoor_files / "fitted"
+        assert main(["gen-data", "--scm", str(frontdoor_files / "frontdoor.scm"), "--n", "20000",
+                     "--seed", "0", "--out", str(obs.with_suffix(".csv"))]) == 0
+        assert main(["sample", "--graph", str(frontdoor_files / "frontdoor.graph"),
+                     "--query", str(frontdoor_files / "query.txt"), "--data", str(obs.with_suffix(".csv")),
+                     "--n", "5000", "--seed", "0", "--out", str(out)]) == 0
+        for prefix in (obs, out):
+            csv, reference = prefix.with_suffix(".csv"), frontdoor_files / "reference.csv"
+            savetxt_reference(reference, read_dataset_csv(csv, prefix.with_suffix(".sidecar.json")))
+            assert csv.read_bytes() == reference.read_bytes()
 
     def test_same_seed_byte_identical(self, frontdoor_files):
         digests = []

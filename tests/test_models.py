@@ -148,17 +148,43 @@ class TestCsvBytes:
             (0, (2, 300)),  # no rows
             (1000, (7,)),  # one column
             (CSV_CHUNK_ROWS * 2 + 17, (2, 300)),  # more rows than one chunk
+            (1, (2, 3)),  # one row
+            (CSV_CHUNK_ROWS - 1, (2, 11)),  # one row short of a chunk
+            (CSV_CHUNK_ROWS + 1, (11, 2)),  # one row past a chunk
+            (1000, (10, 11, 10)),  # one place, then two
+            (1000, (10**18,)),  # 18 places, the reader's widest cell
         ],
     )
     def test_matches_savetxt_reference(self, tmp_path, n, cards):
         gen = np.random.default_rng(n + sum(cards))
         rows = np.column_stack([gen.integers(0, c, size=n) for c in cards])
         if n:
-            rows[:2] = [[c - 1 for c in cards], [0] * len(cards)]  # both ends of every range
+            rows[:2] = [[c - 1 for c in cards], [0] * len(cards)][:n]  # both ends of every range
         d = Dataset(tuple(Variable(f"V{i}", c) for i, c in enumerate(cards)), rows)
         write_dataset_csv(d, tmp_path / "fast.csv")
         savetxt_reference(tmp_path / "reference.csv", d)
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    @pytest.mark.parametrize("card", [10**18 + 1, 10**19])
+    def test_refuses_a_state_the_reader_cannot_parse(self, tmp_path, card):
+        # 10**18 has 19 digits, one more than `read_dataset_csv` parses
+        d = Dataset((Variable("A", 2), Variable("B", card)), np.array([[1, 10**18]], dtype=np.uint64))
+        with pytest.raises(DataError, match=r"d.csv: column B has cardinality \d+, but a CSV cell holds at most 18"):
+            write_dataset_csv(d, tmp_path / "d.csv", tmp_path / "d.json")
+        assert not (tmp_path / "d.csv").exists() and not (tmp_path / "d.json").exists()
+
+    def test_memory_is_one_chunk_of_text(self, tmp_path):
+        # the `%` writer's tuple of a chunk's values and its string took several MiB
+        d = Dataset(tuple(Variable(f"V{i}", 2) for i in range(4)),
+                    np.random.default_rng(2).integers(0, 2, size=(1_000_000, 4)))
+        tracemalloc.start()
+        try:
+            write_dataset_csv(d, tmp_path / "d.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert (tmp_path / "d.csv").stat().st_size == len("V0,V1,V2,V3\n") + 8 * d.n
 
 
 def loadtxt_reference(path, sidecar=None) -> Dataset:
@@ -444,6 +470,24 @@ class TestDrawCategorical:
             tracemalloc.stop()
         assert drawn.nbytes == 1_000_000
         assert peak <= drawn.nbytes + (4 << 20)
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 257])
+    @pytest.mark.parametrize("n", [DRAW_CHUNK_ROWS - 1, DRAW_CHUNK_ROWS + 1])
+    def test_draws_into_out(self, k, n):
+        gen = np.random.default_rng(k)
+        table = gen.dirichlet(np.ones(k), size=3)
+        context = [gen.integers(0, 3, size=n)]
+        expected = draw_categorical(table, context, n, np.random.default_rng(7))
+        # a column of a block in the drawn dtype, and of a wider one
+        for dtype in (expected.dtype, np.uint32):
+            block = np.zeros((n, 3), dtype=dtype, order="F")
+            drawn = draw_categorical(table, context, n, np.random.default_rng(7), out=block[:, 1])
+            assert np.shares_memory(drawn, block) and np.array_equal(block[:, 1], expected)
+            assert not block[:, [0, 2]].any()
+        model = CptModel(Variable("T", k), (Variable("C", 3),), table)
+        column = np.empty(n, dtype=np.uint32)
+        assert model.sample_n({"C": context[0]}, n, np.random.default_rng(7), out=column) is column
+        assert np.array_equal(column, expected)
 
 
 class TestJointIndex:
