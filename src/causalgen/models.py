@@ -12,8 +12,11 @@ row of comma-separated decimal integers (`%d`), with an optional JSON sidecar
 of cardinalities and intervened columns. Both directions work on bytes with
 numpy arithmetic, a chunk at a time: the writer formats each chunk's digits
 into one reused block of bytes, and refuses a column whose cardinality is
-past 10**18, whose states would need more digits than a cell may hold. The
-reader accepts exactly what `write_dataset_csv` writes, plus CRLF line ends
+past 10**18, whose states would need more digits than a cell may hold. A
+text whose cells all have one digit has rows of 2k bytes, and the reader
+reads it as byte pairs, the row count given by its length; any other text
+takes the general path, which finds the cells between the non-digit bytes.
+The reader accepts exactly what `write_dataset_csv` writes, plus CRLF line ends
 and a missing final newline: a row is cells of 1-18 ASCII digits (leading
 zeros allowed), separated by commas and ended by a newline, as many cells as
 the header has names. It refuses, naming the line, spaces around a cell, a
@@ -21,6 +24,10 @@ sign, `#` comments, blank lines, a lone carriage return, non-ASCII bytes, a
 wrong field count, an empty or longer cell, and a value at or above its
 sidecar cardinality. The header may hold no carriage return but its CRLF
 line end; it is decoded as UTF-8 (undecodable bytes replaced) and stripped.
+
+A dataset's rows are read-only, and a dataset counted more than once keeps
+the counts of its full joint, when they have at most n cells, so every fit
+of a build sums over one table instead of recounting the rows.
 
 A conditional model maps a full context assignment to a distribution over one
 target variable; it is the single plug-in seam between the network compiler and
@@ -97,7 +104,10 @@ class Dataset:
     `rows` may be any 2-D integer array. It is validated as given, so a negative
     value is caught before narrowing could wrap it, and then stored column-major
     in `row_dtype(variables)`; a block already in that layout (see `empty_rows`)
-    is kept as it is, and validating it costs one contiguous max per column."""
+    is kept as it is, and validating it costs one contiguous max per column.
+    The stored rows are a read-only view, so the counts a dataset keeps (see
+    `counts`) cannot go stale; a producer fills its block before it builds
+    the dataset."""
 
     variables: tuple[Variable, ...]
     rows: np.ndarray
@@ -114,7 +124,11 @@ class Dataset:
         unknown = self.intervened - {v.name for v in self.variables}
         if unknown:
             raise DataError(f"intervened columns {sorted(unknown)} are not dataset variables")
-        object.__setattr__(self, "rows", np.asarray(rows, dtype=row_dtype(self.variables), order="F"))
+        rows = np.asarray(rows, dtype=row_dtype(self.variables), order="F")
+        if rows.flags.writeable:
+            rows = rows.view()
+            rows.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
 
     @functools.cached_property  # every `column` lookup reads it
     def names(self) -> tuple[str, ...]:
@@ -134,13 +148,38 @@ class Dataset:
         return self.rows[:, self.names.index(name)]
 
     def counts(self, names: Sequence[str]) -> np.ndarray:
-        """Joint counts of the named columns, shaped by their cardinalities,
-        counted `DRAW_CHUNK_ROWS` rows at a time, since `np.bincount` casts
-        its narrow index to intp."""
+        """Joint counts of the named columns, shaped by their cardinalities.
+        A dataset counted more than once, whose joint of all columns has at
+        most n cells, counts that joint on its second call and keeps it; that
+        call and every later one with distinct names sum over it, transposed
+        to their order, exactly, since the counts are integers. The first call
+        counts only what it asks for, so a dataset counted once does no more."""
         cards = [self.variable(n).cardinality for n in names]
+        if not self.__dict__.get("_counted"):
+            self.__dict__["_counted"] = True  # frozen: set beside the fields, as `cached_property` does
+        elif self._joint_counts is not None and len(set(names)) == len(names):
+            axes = [self.names.index(n) for n in names]
+            summed = self._joint_counts.sum(axis=tuple(i for i in range(len(self.names)) if i not in axes))
+            kept = sorted(axes)  # the summed table's axes
+            return np.asarray(summed).transpose([kept.index(a) for a in axes])  # a scalar when all are summed
+        return self._count(names, cards)
+
+    @functools.cached_property
+    def _joint_counts(self) -> np.ndarray | None:
+        """The counts of every column, or None past n cells, where summing
+        over them would cost more than counting the rows again."""
+        cards = [v.cardinality for v in self.variables]
+        return self._count(self.names, cards) if math.prod(cards) <= self.n else None
+
+    def _count(self, names: Sequence[str], cards: list[int]) -> np.ndarray:
+        """Counted by one `np.bincount` up to `DRAW_CHUNK_ROWS` rows, and past
+        that a chunk of rows at a time, since `np.bincount` casts its narrow
+        index to intp."""
         cells = math.prod(cards)
         check_address_space(cells * np.dtype(np.intp).itemsize, f"counts of {cells} cells")
         columns = [self.column(n) for n in names]
+        if self.n <= DRAW_CHUNK_ROWS:
+            return np.bincount(joint_index(columns, cards, self.n), minlength=cells).reshape(cards)
         counts = np.zeros(cells, dtype=np.intp)
         for start in range(0, self.n, DRAW_CHUNK_ROWS):
             stop = min(start + DRAW_CHUNK_ROWS, self.n)
@@ -244,18 +283,24 @@ def read_dataset_csv(path: str | Path, sidecar: str | Path | None = None) -> Dat
     # with every cardinality known the block is narrowed as it is filled; else Dataset narrows it
     dtype = np.dtype(np.int64) if None in known else row_dtype(_variables(path, names, known))
     rows = _parse_rows(path, raw, start, names, known, dtype)
-    top = rows.max(axis=0, initial=0)
-    inferred = [c if c is not None else max(2, int(t) + 1) for c, t in zip(known, top)]
-    return Dataset(_variables(path, names, inferred), rows, intervened)
+    if None in known:  # the cardinalities the sidecar leaves out are inferred from the rows
+        top = rows.max(axis=0, initial=0)
+        known = [c if c is not None else max(2, int(t) + 1) for c, t in zip(known, top)]
+    return Dataset(_variables(path, names, known), rows, intervened)
 
 
 def _parse_rows(path: Path, raw: bytes, start: int, names: list[str], cards: list[int | None],
                 dtype: np.dtype) -> np.ndarray:
     """The rows of `raw[start:]`, which ends with a newline, in an (n, k)
-    column-major block of `dtype`. A chunk is checked whole before any of it
-    is written, so a value at or above its column's sidecar cardinality
+    column-major block of `dtype`. A text whose cells all have one digit is
+    read by `_fixed_width_rows`; any other text, or one that path refuses,
+    by the general loop below. There a chunk is checked whole before any of
+    it is written, so a value at or above its column's sidecar cardinality
     cannot wrap in the narrowed block; `_row_fault` words the refusal."""
     k = len(names)
+    rows = _fixed_width_rows(raw, start, cards, dtype)
+    if rows is not None:
+        return rows
     rows = np.empty((raw.count(b"\n", start), k), dtype, order="F")
     # each column's bound, repeated for the most cells a chunk can hold
     bound = np.array([10**CSV_MAX_DIGITS if c is None else min(c, 10**CSV_MAX_DIGITS) for c in cards])
@@ -273,6 +318,35 @@ def _parse_rows(path: Path, raw: bytes, start: int, names: list[str], cards: lis
         rows[row : row + len(values) // k] = values.reshape(-1, k)
         row += len(values) // k
         start = stop
+    return rows
+
+
+def _fixed_width_rows(raw: bytes, start: int, cards: list[int | None], dtype: np.dtype) -> np.ndarray | None:
+    """The rows of `raw[start:]` when each is k one-digit cells, 2k bytes, or
+    else None. The text is read as little-endian byte pairs, a cell's digit
+    and then its separator, a row-aligned chunk at a time. Subtracting each
+    pair's expected value, `separator * 256 + ord("0")`, leaves the cell's
+    value only where the separator is the expected comma or newline and the
+    byte a digit, and a wrapped 10 or more otherwise, so one comparison with
+    the column's bound, `min(cardinality, 10)`, checks the chunk whole. The
+    values are then copied into the block column by column."""
+    k = len(cards)
+    if (len(raw) - start) % (2 * k):
+        return None
+    pairs = np.frombuffer(raw, "<u2", offset=start)
+    rows = np.empty((len(pairs) // k, k), dtype, order="F")
+    step = max(1, CSV_CHUNK_BYTES // (2 * k)) * k  # the cells of a chunk of whole rows
+    expected = np.tile(np.array([ord(",") << 8] * (k - 1) + [ord("\n") << 8], np.uint16) + ord("0"), step // k)
+    bound = np.tile(np.array([10 if c is None else min(c, 10) for c in cards], np.uint16), step // k)
+    values = np.empty(step, np.uint16)
+    for first in range(0, len(pairs), step):
+        chunk = pairs[first : first + step]
+        cells = np.subtract(chunk, expected[: len(chunk)], out=values[: len(chunk)])
+        if not (cells < bound[: len(chunk)]).all():
+            return None
+        block = rows[first // k : (first + len(chunk)) // k]
+        for j in range(k):
+            block[:, j] = cells[j::k]
     return rows
 
 

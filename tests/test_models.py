@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import tracemalloc
@@ -12,6 +13,7 @@ import pytest
 from causalgen.engine import DatasetSource, SamplingNetwork, ancestral_sample, proposal_models
 from causalgen.graphs import Admg, Variable
 from causalgen.models import (
+    CSV_CHUNK_BYTES,
     CSV_CHUNK_ROWS,
     CptModel,
     DRAW_CHUNK_ROWS,
@@ -23,6 +25,7 @@ from causalgen.models import (
     fit_conditional,
     joint_index,
     read_dataset_csv,
+    _fixed_width_rows,
     _read_sidecar,
     write_dataset_csv,
 )
@@ -97,6 +100,16 @@ class TestDataset:
         again = Dataset(d.variables, d.rows)
         assert again.rows is d.rows  # a block in the storage layout is not copied
 
+    def test_rows_are_read_only(self):
+        # the joint counts a dataset keeps would go stale under a write
+        rows = np.asfortranarray(np.zeros((4, 2), dtype=np.uint8))
+        d = Dataset((Variable("A", 2), Variable("B", 2)), rows)
+        with pytest.raises(ValueError, match="read-only"):
+            d.rows[0, 0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            d.column("B")[:] = 1
+        assert rows.flags.writeable  # the producer's block is not changed
+
 
 def counts_reference(d, names):
     """Joint counts as one `np.bincount` of the whole joint index."""
@@ -128,6 +141,31 @@ class TestCounts:
         finally:
             tracemalloc.stop()
         assert peak <= 2 << 20
+
+    def test_sums_over_the_kept_joint(self):
+        variables = (Variable("A", 2), Variable("B", 3), Variable("C", 4))
+        d = Dataset(variables, np.random.default_rng(3).integers(0, [2, 3, 4], size=(1000, 3)))
+        d.counts(["B"])
+        assert "_joint_counts" not in d.__dict__  # the first call counts only what it asks for
+        d.counts(["B"])
+        assert d.__dict__["_joint_counts"] is not None
+        for r in range(len(d.names) + 1):  # [] among them
+            for names in itertools.permutations(d.names, r):
+                got = d.counts(list(names))
+                assert got.dtype == np.intp and np.array_equal(got, counts_reference(d, names))
+        for names in (["B", "A", "B"], ["C", "C"]):  # a repeated name is counted from the rows
+            assert np.array_equal(d.counts(names), counts_reference(d, names))
+        every = d.counts(list(d.names))
+        every += 1  # a result the caller changes leaves the kept joint as it was
+        assert np.array_equal(d.counts(list(d.names)), counts_reference(d, d.names))
+
+    def test_counts_rows_past_n_cells(self):
+        variables = (Variable("A", 2), Variable("B", 300), Variable("C", 300))
+        d = Dataset(variables, np.random.default_rng(4).integers(0, [2, 300, 300], size=(1000, 3)))
+        for names in (["C", "A"], ["C", "A"], ["B"], []):
+            got = d.counts(names)
+            assert got.dtype == np.intp and np.array_equal(got, counts_reference(d, names))
+        assert d.__dict__["_joint_counts"] is None  # 180,000 cells are more than the 1,000 rows
 
 
 def savetxt_reference(path, d):
@@ -254,6 +292,9 @@ class TestCsvRead:
             (0, (2, 300)),  # no rows
             (1, (7,)),  # one row, one column
             (CSV_CHUNK_ROWS // 2, (2, 256)),  # many chunks
+            (CSV_CHUNK_BYTES // 6 - 1, (10, 2, 7)),  # one-digit cells: one row short of a fixed-width chunk
+            (CSV_CHUNK_BYTES // 6 + 1, (10, 2, 7)),  # and one row past it
+            (0, (10, 2, 7)),  # one-digit cells, no rows
         ],
     )
     def test_matches_loadtxt_reference(self, tmp_path, n, cards, variant):
@@ -297,6 +338,28 @@ class TestCsvRead:
         finally:
             tracemalloc.stop()
         assert peak < (tmp_path / "d.csv").stat().st_size + d.rows.nbytes + (2 << 20)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            (b"0,,,4\n", "4 fields, the header has 3"),  # a comma in a digit slot
+            (b"0,a,4\n", "character 'a'; a row holds only digits and commas"),
+            (b"0,\xe9,4\n", "non-ASCII byte 0xe9; a row holds only digits and commas"),
+            (b"0,1\n4,", "2 fields, the header has 3"),  # the row's last two separators swapped
+            (b"0,3,4\n", "column B holds 3, at or above its cardinality 3"),
+        ],
+    )
+    def test_fixed_width_faults_fall_back_to_the_general_refusal(self, tmp_path, row, message):
+        # every row is 2k bytes, so the fixed-width layout is tried, and refused in the second chunk
+        rows = CSV_CHUNK_BYTES // 6 + 5
+        fault = CSV_CHUNK_BYTES // 6 + 2
+        text = b"A,B,C\n" + b"1,2,9\n" * fault + row + b"0,0,0\n" * (rows - fault - 1)
+        (tmp_path / "d.csv").write_bytes(text)
+        (tmp_path / "d.json").write_text(json.dumps({"cardinalities": {"A": 2, "B": 3, "C": 10}}))
+        assert _fixed_width_rows(text, len(b"A,B,C\n"), [2, 3, 10], np.dtype(np.uint8)) is None
+        with pytest.raises(DataError) as refusal:
+            read_dataset_csv(tmp_path / "d.csv", tmp_path / "d.json")
+        assert str(refusal.value) == f"{tmp_path / 'd.csv'}:{fault + 2}: {message}"
 
 
 def smallest_unsigned(variables):
