@@ -25,9 +25,10 @@ wrong field count, an empty or longer cell, and a value at or above its
 sidecar cardinality. The header may hold no carriage return but its CRLF
 line end; it is decoded as UTF-8 (undecodable bytes replaced) and stripped.
 
-A dataset's rows are read-only, and a dataset counted more than once keeps
-the counts of its full joint, when they have at most n cells, so every fit
-of a build sums over one table instead of recounting the rows.
+A dataset's rows are read-only, and its first count counts the joint of
+every column and keeps it, while those counts take no more bytes than the
+rows, so every fit of a build sums over one table instead of recounting the
+rows.
 
 A conditional model maps a full context assignment to a distribution over one
 target variable; it is the single plug-in seam between the network compiler and
@@ -149,15 +150,12 @@ class Dataset:
 
     def counts(self, names: Sequence[str]) -> np.ndarray:
         """Joint counts of the named columns, shaped by their cardinalities.
-        A dataset counted more than once, whose joint of all columns has at
-        most n cells, counts that joint on its second call and keeps it; that
-        call and every later one with distinct names sum over it, transposed
-        to their order, exactly, since the counts are integers. The first call
-        counts only what it asks for, so a dataset counted once does no more."""
-        cards = [self.variable(n).cardinality for n in names]
-        if not self.__dict__.get("_counted"):
-            self.__dict__["_counted"] = True  # frozen: set beside the fields, as `cached_property` does
-        elif self._joint_counts is not None and len(set(names)) == len(names):
+        Distinct names are a sum over the kept counts of every column (see
+        `_joint_counts`), transposed to their order, exactly, since the counts
+        are integers; a repeated name, or a joint past that bound, is counted
+        from the rows."""
+        cards = [self.variable(n).cardinality for n in names]  # an unknown name is refused here
+        if self._joint_counts is not None and len(set(names)) == len(names):
             axes = [self.names.index(n) for n in names]
             summed = self._joint_counts.sum(axis=tuple(i for i in range(len(self.names)) if i not in axes))
             kept = sorted(axes)  # the summed table's axes
@@ -166,20 +164,24 @@ class Dataset:
 
     @functools.cached_property
     def _joint_counts(self) -> np.ndarray | None:
-        """The counts of every column, or None past n cells, where summing
-        over them would cost more than counting the rows again."""
+        """The counts of every column, counted on the first `counts` call and
+        kept while their intp cells take no more bytes than the rows, or else
+        None. Up to that bound a sum over them costs less than counting the
+        rows again, and the kept table never outweighs the rows it summarizes:
+        on a 2-vCPU host, two of three columns of 20,000 rows sum in 30 us
+        from a joint of 4.4 times the rows' bytes against 47 us to recount,
+        and recounting first wins at 35 times."""
         cards = [v.cardinality for v in self.variables]
-        return self._count(self.names, cards) if math.prod(cards) <= self.n else None
+        if math.prod(cards) * np.dtype(np.intp).itemsize > self.rows.nbytes:
+            return None
+        return self._count(self.names, cards)
 
     def _count(self, names: Sequence[str], cards: list[int]) -> np.ndarray:
-        """Counted by one `np.bincount` up to `DRAW_CHUNK_ROWS` rows, and past
-        that a chunk of rows at a time, since `np.bincount` casts its narrow
-        index to intp."""
+        """Counted `DRAW_CHUNK_ROWS` rows at a time, since `np.bincount` casts
+        its narrow index to intp."""
         cells = math.prod(cards)
         check_address_space(cells * np.dtype(np.intp).itemsize, f"counts of {cells} cells")
         columns = [self.column(n) for n in names]
-        if self.n <= DRAW_CHUNK_ROWS:
-            return np.bincount(joint_index(columns, cards, self.n), minlength=cells).reshape(cards)
         counts = np.zeros(cells, dtype=np.intp)
         for start in range(0, self.n, DRAW_CHUNK_ROWS):
             stop = min(start + DRAW_CHUNK_ROWS, self.n)
@@ -292,21 +294,26 @@ def read_dataset_csv(path: str | Path, sidecar: str | Path | None = None) -> Dat
 def _parse_rows(path: Path, raw: bytes, start: int, names: list[str], cards: list[int | None],
                 dtype: np.dtype) -> np.ndarray:
     """The rows of `raw[start:]`, which ends with a newline, in an (n, k)
-    column-major block of `dtype`. A text whose cells all have one digit is
-    read by `_fixed_width_rows`; any other text, or one that path refuses,
-    by the general loop below. There a chunk is checked whole before any of
-    it is written, so a value at or above its column's sidecar cardinality
-    cannot wrap in the narrowed block; `_row_fault` words the refusal."""
+    column-major block of `dtype`. `_fixed_width_rows` reads the leading
+    rows whose cells all have one digit; the general loop below goes on from
+    the first chunk that path refuses, so only that chunk is read twice.
+    There a chunk is checked whole before any of it is written, so a value
+    at or above its column's sidecar cardinality cannot wrap in the narrowed
+    block; `_row_fault` words the refusal."""
     k = len(names)
-    rows = _fixed_width_rows(raw, start, cards, dtype)
-    if rows is not None:
+    rows, row = _fixed_width_rows(raw, start, cards, dtype)
+    start += 2 * k * row
+    if start == len(raw):
         return rows
-    rows = np.empty((raw.count(b"\n", start), k), dtype, order="F")
+    n = row + raw.count(b"\n", start)
+    if len(rows) != n:  # the rest has other row lengths than the fixed width's
+        block = np.empty((n, k), dtype, order="F")
+        block[:row] = rows[:row]
+        rows = block
     # each column's bound, repeated for the most cells a chunk can hold
     bound = np.array([10**CSV_MAX_DIGITS if c is None else min(c, 10**CSV_MAX_DIGITS) for c in cards])
     bound = np.tile(bound, CSV_CHUNK_BYTES // (2 * k) + 1)
     buf = np.frombuffer(raw, dtype=np.uint8)
-    row = 0
     while start < len(raw):
         # the chunk ends at the last newline in its window, or else at the first after it
         stop = raw.rfind(b"\n", start, start + CSV_CHUNK_BYTES) + 1
@@ -321,18 +328,21 @@ def _parse_rows(path: Path, raw: bytes, start: int, names: list[str], cards: lis
     return rows
 
 
-def _fixed_width_rows(raw: bytes, start: int, cards: list[int | None], dtype: np.dtype) -> np.ndarray | None:
-    """The rows of `raw[start:]` when each is k one-digit cells, 2k bytes, or
-    else None. The text is read as little-endian byte pairs, a cell's digit
-    and then its separator, a row-aligned chunk at a time. Subtracting each
-    pair's expected value, `separator * 256 + ord("0")`, leaves the cell's
-    value only where the separator is the expected comma or newline and the
-    byte a digit, and a wrapped 10 or more otherwise, so one comparison with
-    the column's bound, `min(cardinality, 10)`, checks the chunk whole. The
-    values are then copied into the block column by column."""
+def _fixed_width_rows(raw: bytes, start: int, cards: list[int | None], dtype: np.dtype) -> tuple[np.ndarray, int]:
+    """An (n, k) block for `raw[start:]` read as rows of k one-digit cells,
+    2k bytes each, and how many of its leading rows were filled: all n, or
+    the rows before the first chunk that breaks that layout; no rows when the
+    length is not a multiple of 2k. The text is read as little-endian byte
+    pairs, a cell's digit and then its separator, a row-aligned chunk at a
+    time. Subtracting each pair's expected value, `separator * 256 +
+    ord("0")`, leaves the cell's value only where the separator is the
+    expected comma or newline and the byte a digit, and a wrapped 10 or more
+    otherwise, so one comparison with the column's bound, `min(cardinality,
+    10)`, checks the chunk whole. The values are then copied into the block
+    column by column."""
     k = len(cards)
     if (len(raw) - start) % (2 * k):
-        return None
+        return np.empty((0, k), dtype, order="F"), 0
     pairs = np.frombuffer(raw, "<u2", offset=start)
     rows = np.empty((len(pairs) // k, k), dtype, order="F")
     step = max(1, CSV_CHUNK_BYTES // (2 * k)) * k  # the cells of a chunk of whole rows
@@ -343,11 +353,11 @@ def _fixed_width_rows(raw: bytes, start: int, cards: list[int | None], dtype: np
         chunk = pairs[first : first + step]
         cells = np.subtract(chunk, expected[: len(chunk)], out=values[: len(chunk)])
         if not (cells < bound[: len(chunk)]).all():
-            return None
+            return rows, first // k
         block = rows[first // k : (first + len(chunk)) // k]
         for j in range(k):
             block[:, j] = cells[j::k]
-    return rows
+    return rows, len(rows)
 
 
 def _chunk_values(chunk: np.ndarray, k: int) -> np.ndarray | None:

@@ -145,10 +145,8 @@ class TestCounts:
     def test_sums_over_the_kept_joint(self):
         variables = (Variable("A", 2), Variable("B", 3), Variable("C", 4))
         d = Dataset(variables, np.random.default_rng(3).integers(0, [2, 3, 4], size=(1000, 3)))
-        d.counts(["B"])
-        assert "_joint_counts" not in d.__dict__  # the first call counts only what it asks for
-        d.counts(["B"])
-        assert d.__dict__["_joint_counts"] is not None
+        assert np.array_equal(d.counts(["B"]), counts_reference(d, ["B"]))
+        assert d.__dict__["_joint_counts"] is not None  # the first call keeps the joint
         for r in range(len(d.names) + 1):  # [] among them
             for names in itertools.permutations(d.names, r):
                 got = d.counts(list(names))
@@ -159,13 +157,21 @@ class TestCounts:
         every += 1  # a result the caller changes leaves the kept joint as it was
         assert np.array_equal(d.counts(list(d.names)), counts_reference(d, d.names))
 
-    def test_counts_rows_past_n_cells(self):
+    def test_counts_rows_past_the_rows_bytes(self):
         variables = (Variable("A", 2), Variable("B", 300), Variable("C", 300))
         d = Dataset(variables, np.random.default_rng(4).integers(0, [2, 300, 300], size=(1000, 3)))
         for names in (["C", "A"], ["C", "A"], ["B"], []):
             got = d.counts(names)
             assert got.dtype == np.intp and np.array_equal(got, counts_reference(d, names))
-        assert d.__dict__["_joint_counts"] is None  # 180,000 cells are more than the 1,000 rows
+        assert d.__dict__["_joint_counts"] is None  # 180,000 cells, 1.44 MB against 6 kB of rows
+
+    @pytest.mark.parametrize("n, kept", [(32, True), (31, False)])
+    def test_keeps_the_joint_up_to_the_rows_bytes(self, n, kept):
+        # 8 cells of 8 bytes against n rows of two uint8 columns
+        d = Dataset((Variable("A", 2), Variable("B", 4)), np.random.default_rng(n).integers(0, [2, 4], size=(n, 2)))
+        for names in (["B", "A"], ["A"]):
+            assert np.array_equal(d.counts(names), counts_reference(d, names))
+        assert (d.__dict__["_joint_counts"] is not None) is kept
 
 
 def savetxt_reference(path, d):
@@ -356,10 +362,23 @@ class TestCsvRead:
         text = b"A,B,C\n" + b"1,2,9\n" * fault + row + b"0,0,0\n" * (rows - fault - 1)
         (tmp_path / "d.csv").write_bytes(text)
         (tmp_path / "d.json").write_text(json.dumps({"cardinalities": {"A": 2, "B": 3, "C": 10}}))
-        assert _fixed_width_rows(text, len(b"A,B,C\n"), [2, 3, 10], np.dtype(np.uint8)) is None
+        # the general loop goes on from the refused chunk, after the rows of the first
+        assert _fixed_width_rows(text, len(b"A,B,C\n"), [2, 3, 10], np.dtype(np.uint8))[1] == CSV_CHUNK_BYTES // 6
         with pytest.raises(DataError) as refusal:
             read_dataset_csv(tmp_path / "d.csv", tmp_path / "d.json")
         assert str(refusal.value) == f"{tmp_path / 'd.csv'}:{fault + 2}: {message}"
+
+    def test_multi_digit_cells_after_a_fixed_width_chunk(self, tmp_path):
+        # six 7-byte rows make the length a multiple of 2k again, with one row fewer than it implies
+        first = CSV_CHUNK_BYTES // 6
+        text = b"A,B,C\n" + b"1,2,9\n" * first + b"12,0,3\n" * 6 + b"0,1,2\n" * 3
+        assert (len(text) - len(b"A,B,C\n")) % 6 == 0
+        assert _fixed_width_rows(text, len(b"A,B,C\n"), [None] * 3, np.dtype(np.int64))[1] == first
+        (tmp_path / "d.csv").write_bytes(text)
+        d = read_dataset_csv(tmp_path / "d.csv")
+        assert d.rows.flags.f_contiguous and d.variable("A").cardinality == 13
+        assert np.array_equal(d.rows, [[1, 2, 9]] * first + [[12, 0, 3]] * 6 + [[0, 1, 2]] * 3)
+        assert_same_dataset(d, loadtxt_reference(tmp_path / "d.csv", None))
 
 
 def smallest_unsigned(variables):
