@@ -157,7 +157,7 @@ def _load_source(args, g: Admg):
     model = scm.read_scm(args.scm)
     if model.graph != g:
         raise InputError("scm graph does not match --graph")
-    return engine.ExactSource(scm.exact_joint(model))
+    return engine.ExactSource(model.network)
 
 
 def cmd_sample(args) -> int:
@@ -196,19 +196,18 @@ def _eval_one(entry: scm.CatalogEntry, query: scm.CatalogQuery, args, rng) -> st
     )
     if not query.identifiable:
         return f"| {label} | HEDGE | HEDGE |"
-    joint = scm.exact_joint(entry.scm)
     if query.given:
         ref = identify.identify_conditional_effect(
             frozenset(query.targets), frozenset(query.do), frozenset(query.given), g
         )
-        table = evaluate_estimand(ref.estimand, joint)
+        table = evaluate_estimand(ref.estimand, scm.exact_joint(entry.scm))
         truth = lambda fixed: table.fix({k: v for k, v in fixed.items() if k in table.names})
     else:
         truth = lambda fixed: scm.exact_interventional(entry.scm, fixed, query.targets)
     obs = scm.sample_observational(entry.scm, args.obs_n, rng)
     columns = [
         f"{_worst_tvd(g, query, source, truth, args, rng):.4f}"
-        for source in (engine.DatasetSource(obs), engine.ExactSource(joint))
+        for source in (engine.DatasetSource(obs), engine.ExactSource(entry.scm.network))
     ]
     return f"| {label} | {columns[0]} | {columns[1]} |"
 

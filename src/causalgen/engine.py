@@ -10,16 +10,16 @@ evaluation of the finished network yields samples from the interventional
 distribution.
 
 Two interchangeable data sources drive the fits: a finite dataset (CPT fits,
-the end-to-end pipeline) and an exact joint table (exact conditionals, used to
-isolate network correctness from estimation error). The recursion reads a
-source through `fit(target, context)`, `marginal_table(names)` and
-`regenerate(inner, multiplier, rng)`, which returns the step-7 source drawn
-from the inner network's models, the proposal's (`proposal_models`) on the
-newly intervened variables included; the placeholders left empty, the anchors
-(the intervention history), keep the current source's values. A source is
-never narrowed: it may hold columns the working graph does not name, and only
-the graph's names are read. `network_law` is the one definition of a
-network's distribution.
+the end-to-end pipeline) and the law of a sampling network such as an SCM's
+(exact conditionals, used to isolate network correctness from estimation
+error). The recursion reads a source through `fit(target, context)`,
+`marginal_table(names)` and `regenerate(inner, multiplier, rng)`, which
+returns the step-7 source drawn from the inner network's models, the
+proposal's (`proposal_models`) on the newly intervened variables included; the
+placeholders left empty, the anchors (the intervention history), keep the
+current source's values. A source is never narrowed: it may hold columns the
+working graph does not name, and only the graph's names are read.
+`network_law` is the one definition of a network's distribution.
 """
 
 from __future__ import annotations
@@ -332,31 +332,31 @@ class DatasetSource:
 
 
 class ExactSource:
-    """Exact source: the current joint law as a dense table, no estimation error."""
+    """Exact source, no estimation error: the law of `network` with `inputs`,
+    tables on its placeholders, read through `network_law`. A joint table `t`
+    is the law of the network of its placeholders fed by it, `ExactSource(
+    SamplingNetwork(dict(zip(t.names, t.variables)), dict.fromkeys(t.names), t.names), [t])`.
+    The network is never mutated; it may be an SCM's cached `network`."""
 
-    def __init__(self, table: DistTable):
-        self.table = table
+    def __init__(self, network: SamplingNetwork, inputs: Sequence[DistTable] = ()):
+        self.network = network
+        self.inputs = inputs
 
     @property
     def columns(self) -> tuple[str, ...]:
-        return self.table.names
-
-    def variable(self, name: str) -> Variable:
-        return self.table.variables[self.table.names.index(name)]
+        return tuple(self.network.node_order)
 
     def fit(self, target: str, context: Sequence[str]) -> ConditionalModel:
-        return exact_conditional(self.table, target, context)
+        return exact_conditional(self.marginal_table([*context, target]), target, context)
 
     def marginal_table(self, names: Sequence[str]) -> DistTable:
-        probs = contract([(self.table.names, self.table.probs)], names)
-        return DistTable(tuple(self.variable(n) for n in names), probs)
+        return network_law(self.network, self.inputs, names)
 
     def regenerate(self, inner: SamplingNetwork, multiplier: float, rng: np.random.Generator) -> ExactSource:
         # analytic counterpart of sampled regeneration: the anchors' marginal
-        # times the models of `inner`, the proposal's included
+        # feeds the models of `inner`, the proposal's included
         anchors = inner.empty_nodes()
-        inputs = [self.marginal_table(anchors)] if anchors else []
-        return ExactSource(network_law(inner, inputs, inner.node_order))
+        return ExactSource(inner, [self.marginal_table(anchors)] if anchors else [])
 
 
 # -- the recursion ------------------------------------------------------------------

@@ -93,7 +93,7 @@ def test_c2_sampling_soundness_exact_conditionals():
     worst_margin = np.inf
     for entry, q in identifiable_unconditional_queries():
         g = entry.scm.graph
-        source = ExactSource(exact_joint(entry.scm))
+        source = ExactSource(entry.scm.network)
         built = build_network(q.targets, q.do, g, source, rng=np.random.default_rng(20))
         rng = np.random.default_rng(21)
         k = int(np.prod([g.variable(t).cardinality for t in q.targets]))
@@ -190,7 +190,7 @@ def test_c4_trace_mirroring_on_random_graphs():
 def test_c5_completeness_bow(tmp_path, capsys):
     entry = catalog_entry("bow")
     symbolic = identify_effect(("Y",), ("X",), entry.scm.graph)
-    built = build_network(("Y",), ("X",), entry.scm.graph, ExactSource(exact_joint(entry.scm)))
+    built = build_network(("Y",), ("X",), entry.scm.graph, ExactSource(entry.scm.network))
     write_scm(entry.scm, tmp_path / "bow.scm", tmp_path / "bow.graph")
     (tmp_path / "q.txt").write_text("target=Y\ndo=X=1\n")
     code = cli_main([
@@ -274,7 +274,7 @@ def test_c8_structural_validity():
     rng = np.random.default_rng(80)
     builds = []
     for entry, q in identifiable_unconditional_queries():
-        source = ExactSource(exact_joint(entry.scm))
+        source = ExactSource(entry.scm.network)
         builds.append(build_network(q.targets, q.do, entry.scm.graph, source,
                                     rng=np.random.default_rng(81)))
     for _ in range(60):

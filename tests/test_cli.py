@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from causalgen import scm
 from causalgen.cli import main
 from causalgen.estimands import ENUMERATION_BUDGET
 from causalgen.graphs import format_graph
@@ -15,6 +16,7 @@ from causalgen.scm import (
     empirical_distribution,
     exact_joint,
     noisy_copy_scm,
+    sampling_tolerance,
     tvd,
     write_scm,
 )
@@ -119,6 +121,14 @@ class TestSample:
         assert samples.names == ("R",) and samples.n == 1000
         manifest = out.with_suffix(".manifest").read_text()
         assert "kind=placeholder" in manifest and "kind=exact" in manifest
+
+    @pytest.mark.parametrize("n", [24, 48])
+    def test_scm_sampling_past_the_joint(self, tmp_path, n):
+        write_scm(noisy_copy_scm(confounded_chain(n)), tmp_path / "c.scm", tmp_path / "c.graph")
+        (tmp_path / "q.txt").write_text(f"target=V{n - 1}\ndo=V0=1\n")
+        assert main(["sample", "--graph", str(tmp_path / "c.graph"), "--query", str(tmp_path / "q.txt"),
+                     "--scm", str(tmp_path / "c.scm"), "--n", "100", "--out", str(tmp_path / "o")]) == 0
+        assert "kind=exact" in (tmp_path / "o.manifest").read_text()
 
     def test_data_backed_sampling(self, frontdoor_files, capsys):
         obs = frontdoor_files / "obs.csv"
@@ -254,9 +264,31 @@ class TestEval:
         assert code == 0
         assert "fitted tvd" in out and "frontdoor" in out
 
+    @pytest.mark.parametrize("n", [24, 48])
+    def test_reaches_a_chain_past_the_joint(self, tmp_path, capsys, n):
+        # the exact source reads the SCM's network by contraction, never its 2^n-cell joint
+        write_scm(noisy_copy_scm(confounded_chain(n)), tmp_path / "c.scm", tmp_path / "c.graph")
+        (tmp_path / "q.txt").write_text(f"target=V{n - 1}\ndo=V0=1\n")
+        code = main(["eval", "--scm", str(tmp_path / "c.scm"), "--query", str(tmp_path / "q.txt"),
+                     "--n", "5000", "--obs-n", "2000"])
+        row = capsys.readouterr().out.splitlines()[-1]
+        assert code == 0
+        assert float(row.split("|")[3]) <= sampling_tolerance(2, 5000), row
+
+    def test_compile_path_builds_no_joint(self, frontdoor_files, monkeypatch):
+        def refuse(m):
+            raise AssertionError("the compile path built the joint")
+
+        monkeypatch.setattr(scm, "exact_joint", refuse)
+        scm_file, query = str(frontdoor_files / "frontdoor.scm"), str(frontdoor_files / "query.txt")
+        assert main(["eval", "--scm", scm_file, "--query", query, "--n", "1000", "--obs-n", "1000"]) == 0
+        assert main(["sample", "--graph", str(frontdoor_files / "frontdoor.graph"), "--query", query,
+                     "--scm", scm_file, "--n", "100", "--out", str(frontdoor_files / "o")]) == 0
+
     def test_joint_past_the_budget_is_one_line(self, tmp_path, capsys):
+        # a conditional query's truth is still evaluated on the joint
         write_scm(noisy_copy_scm(confounded_chain(24)), tmp_path / "c.scm", tmp_path / "c.graph")
-        (tmp_path / "q.txt").write_text("target=V23\ndo=V0=1\n")
+        (tmp_path / "q.txt").write_text("target=V23\ndo=V0=1\ngiven=V12=0\n")
         assert_input_error(capsys, ["eval", "--scm", str(tmp_path / "c.scm"), "--query", str(tmp_path / "q.txt"),
                                     "--n", "100", "--obs-n", "100"], "budget")
 

@@ -66,7 +66,7 @@ def contexts(network: SamplingNetwork) -> dict[str, tuple[str, ...] | None]:
 
 
 def exact_source(g):
-    return ExactSource(exact_joint(noisy_copy_scm(g)))
+    return ExactSource(noisy_copy_scm(g).network)
 
 
 def root_state(y, x, g, source):
@@ -198,9 +198,9 @@ class TestPartialIntervention:
     def test_exact_regeneration_matches_sampled_law(self):
         m, state, ctx = self.napkin_step7_state()
         sampled = apply_partial_intervention(frozenset({"W1", "X", "Y"}), state, ctx)
-        exact_state = RecursionState(state.y, state.x, ExactSource(exact_joint(m)), frozenset(), state.g_hat)
-        exact_new = apply_partial_intervention(frozenset({"W1", "X", "Y"}), exact_state, ctx)
-        law = exact_new.source.table
+        exact_state = RecursionState(state.y, state.x, ExactSource(m.network), frozenset(), state.g_hat)
+        src = apply_partial_intervention(frozenset({"W1", "X", "Y"}), exact_state, ctx).source
+        law = src.marginal_table(src.columns)
         emp = empirical_distribution(sampled.source.dataset, law.names)
         assert tvd(emp, law) < 0.01
 
@@ -228,7 +228,7 @@ class TestAncestralSampling:
     def test_two_node_network_matches_enumeration(self):
         g = admg("A B", [("A", "B")])
         m = noisy_copy_scm(g)
-        res = build_network({"A", "B"}, set(), g, ExactSource(exact_joint(m)))
+        res = build_network({"A", "B"}, set(), g, ExactSource(m.network))
         d = ancestral_sample(res.network, {}, 200_000, np.random.default_rng(3))
         assert tvd(empirical_distribution(d, ["A", "B"]), exact_joint(m)) < 0.01
 
@@ -243,7 +243,7 @@ class TestAncestralSampling:
     def test_frontdoor_do_x_matches_oracle(self):
         g = frontdoor_graph()
         m = noisy_copy_scm(g)
-        res = build_network({"R"}, {"X"}, g, ExactSource(exact_joint(m)))
+        res = build_network({"R"}, {"X"}, g, ExactSource(m.network))
         d = sample_interventional(res.network, QuerySpec(("R",), (("X", 1),)), 200_000, np.random.default_rng(4))
         emp = empirical_distribution(d, ["R"])
         assert tvd(emp, exact_interventional(m, {"X": 1}).marginal(["R"])) < 0.01
@@ -380,7 +380,7 @@ class TestBuildNetwork:
             if not identify_effect(y, x, g).identifiable:
                 continue
             m = noisy_copy_scm(g)
-            built = build_network(y, x, g, ExactSource(exact_joint(m)),
+            built = build_network(y, x, g, ExactSource(m.network),
                                   rng=np.random.default_rng(trial))
             srng = np.random.default_rng(1000 + trial)
             for value in (0, 1):
@@ -433,7 +433,7 @@ class TestBuildNetwork:
         from causalgen.estimands import evaluate_estimand
 
         table = evaluate_estimand(result.estimand, joint)
-        built = build_network({"R"}, {"X"}, g, ExactSource(joint), rng=np.random.default_rng(3))
+        built = build_network({"R"}, {"X"}, g, ExactSource(m.network), rng=np.random.default_rng(3))
         rng = np.random.default_rng(4)
         for x in range(3):
             truth = exact_interventional(m, {"X": x}).marginal(["R"])
@@ -455,8 +455,7 @@ class TestBuildNetwork:
         steps = [e.step for e in result.trace]
         assert steps == ["S4", "S2", "S6", "S7", "S2", "S7", "S2", "S1"]
         m = noisy_copy_scm(g)
-        joint = exact_joint(m)
-        built = build_network(y, x, g, ExactSource(joint), rng=np.random.default_rng(9))
+        built = build_network(y, x, g, ExactSource(m.network), rng=np.random.default_rng(9))
         rng = np.random.default_rng(10)
         import itertools
 
@@ -535,7 +534,7 @@ def point_masses(h: SamplingNetwork, fixed: dict[str, int]) -> list[DistTable]:
 def worst_law_error(m, y, x, seed=0) -> float:
     """Largest deviation of the exact-source network's law from the oracle's
     P(y | do(x)), over every do-configuration."""
-    built = build_network(y, x, m.graph, ExactSource(exact_joint(m)), rng=np.random.default_rng(seed))
+    built = build_network(y, x, m.graph, ExactSource(m.network), rng=np.random.default_rng(seed))
     worst = 0.0
     for combo in itertools.product(*(range(m.graph.variable(n).cardinality) for n in sorted(x))):
         do = dict(zip(sorted(x), combo))
@@ -607,10 +606,19 @@ class TestSourceWiderThanGraph:
     @pytest.mark.parametrize("make, y, x", QUERIES)
     def test_exact_joint_with_extra_variable(self, make, y, x):
         g = make()
-        wide = exact_joint(noisy_copy_scm(with_extra_variable(g)))
-        a = build_network(y, x, g, ExactSource(wide))
-        b = build_network(y, x, g, ExactSource(wide.marginal(g.names)))
+        a = build_network(y, x, g, ExactSource(noisy_copy_scm(with_extra_variable(g)).network))
+        b = build_network(y, x, g, ExactSource(noisy_copy_scm(g).network))
         assert format_network(a.network) == format_network(b.network)
+
+
+def test_joint_table_source_through_placeholders():
+    # a joint table is a source as the network of its placeholders fed by it
+    m = noisy_copy_scm(frontdoor_graph())
+    joint = exact_joint(m)
+    placeholders = SamplingNetwork(dict(zip(joint.names, joint.variables)), dict.fromkeys(joint.names), joint.names)
+    a = build_network({"R"}, {"X"}, m.graph, ExactSource(placeholders, [joint]))
+    b = build_network({"R"}, {"X"}, m.graph, ExactSource(m.network))
+    assert format_network(a.network) == format_network(b.network)
 
 
 class TestConditionalSampler:
@@ -624,7 +632,7 @@ class TestConditionalSampler:
         m = noisy_copy_scm(g)
         joint = exact_joint(m)
         sampler = build_conditional_sampler(
-            QuerySpec(("C",), (("A", 0),), (("B", 0),)), g, ExactSource(joint),
+            QuerySpec(("C",), (("A", 0),), (("B", 0),)), g, ExactSource(m.network),
             rng=np.random.default_rng(0),
         )
         assert sampler.nodes["C"].context_names == ("A", "B")
@@ -653,7 +661,7 @@ class TestConditionalSampler:
         m = noisy_copy_scm(g)
         joint = exact_joint(m)
         sampler = build_conditional_sampler(
-            QuerySpec(("C", "D"), (("A", 0),), (("B", 0),)), g, ExactSource(joint),
+            QuerySpec(("C", "D"), (("A", 0),), (("B", 0),)), g, ExactSource(m.network),
             rng=np.random.default_rng(0),
         )
         # in the chain, P(c,d | do(a), b) = P(c,d | b)
@@ -684,7 +692,7 @@ class TestConditionalSampler:
         m = scm_of()
         g, joint = m.graph, exact_joint(m)
         query = QuerySpec(targets, tuple((n, 0) for n in do), tuple((n, 0) for n in given))
-        sampler = build_conditional_sampler(query, g, ExactSource(joint), rng=np.random.default_rng(0))
+        sampler = build_conditional_sampler(query, g, ExactSource(m.network), rng=np.random.default_rng(0))
         truth = evaluate_estimand(identify_conditional_effect(targets, do, given, g).estimand, joint)
         inputs = sampler.empty_nodes()
         modelled = [n for n in sampler.node_order if n not in inputs]
@@ -730,7 +738,7 @@ class TestProposalModels:
     @pytest.mark.parametrize("names", [(), ("B",), ("A", "B", "C"), ("B", "C", "D")])
     def test_product_is_the_law(self, exact, names):
         m = noisy_copy_scm(self.G)
-        source = ExactSource(exact_joint(m)) if exact else DatasetSource(
+        source = ExactSource(m.network) if exact else DatasetSource(
             sample_observational(m, 5000, np.random.default_rng(3)))
         variables = {n: self.G.variable(n) for n in names}
         shape = [v.cardinality for v in variables.values()]
@@ -770,7 +778,8 @@ def regeneration_error(proposal: str, state: RecursionState, s_prime: frozenset,
     inputs = [state.source.marginal_table(anchors)] if anchors else []
     reference = network_law(inner, [*inputs, dense_proposal(proposal, x_z, state)], inner.node_order)
     models = proposal_models(proposal, x_z, state.g_hat, state.source)
-    got = state.source.regenerate(replace(inner, nodes={**inner.nodes, **models}), 1.0, ctx.rng).table
+    src = state.source.regenerate(replace(inner, nodes={**inner.nodes, **models}), 1.0, ctx.rng)
+    got = src.marginal_table(src.columns)
     assert got.names == reference.names
     return float(np.abs(got.probs - reference.probs).max())
 
@@ -793,7 +802,7 @@ class TestExactRegeneration:
                 if q.identifiable:
                     g = entry.scm.graph
                     x, z = maximal_rule2_shift(frozenset(q.targets), frozenset(q.do), frozenset(q.given), g)
-                    ctx = step7_states(proposal, frozenset(q.targets) | z, x, g, ExactSource(exact_joint(entry.scm)))
+                    ctx = step7_states(proposal, frozenset(q.targets) | z, x, g, ExactSource(entry.scm.network))
                     for state, s_prime in ctx.step7:
                         assert regeneration_error(proposal, state, s_prime, ctx) < 1e-12, entry.name
                         seen += 1
@@ -811,7 +820,7 @@ class TestExactRegeneration:
             y, x = random_query(rng, g, allow_empty_x=False)
             if not identify_effect(y, x, g).identifiable:
                 continue
-            ctx = step7_states(proposal, y, x, g, ExactSource(exact_joint(noisy_copy_scm(g))))
+            ctx = step7_states(proposal, y, x, g, ExactSource(noisy_copy_scm(g).network))
             for state, s_prime in ctx.step7:
                 if len(state.x - s_prime) >= 2:
                     assert regeneration_error(proposal, state, s_prime, ctx) < 1e-12

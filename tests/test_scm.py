@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import subprocess
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import causalgen
-from causalgen.engine import network_law
+from causalgen.engine import ExactSource, network_law
 from causalgen.estimands import DistTable, evaluate_estimand
 from causalgen.graphs import Variable
 from causalgen.identify import identify_effect
@@ -204,6 +205,29 @@ def transfer_reference(m: DiscreteScm, n: int, value: int) -> np.ndarray:
         assert h.nodes[f"V{k}"].context_names == (f"V{k - 1}",)
         state = state @ h.nodes[f"V{k}"].table
     return np.einsum("p,u,puy->y", state, h.nodes[latent].table, last.table)
+
+
+class TestExactSource:
+    """`ExactSource(m.network)` reads the SCM's law by contraction: each single
+    variable, each ordered pair and the full set are the joint's marginals."""
+
+    @staticmethod
+    def scms():
+        yield from (entry.scm for entry in catalog())
+        rng = np.random.default_rng(23)
+        for _ in range(12):
+            yield random_mechanism_scm(random_admg(rng), rng)
+
+    def test_marginals_are_the_joint(self):
+        for m in self.scms():
+            joint, source = exact_joint(m), ExactSource(m.network)
+            names = m.graph.names
+            for keep in [*((n,) for n in names), *itertools.permutations(names, 2), names[::-1]]:
+                ref = joint.marginal(keep)
+                expected = np.transpose(ref.probs, [ref.names.index(n) for n in keep])
+                got = source.marginal_table(keep)
+                assert got.names == keep
+                assert np.abs(got.probs - expected).max() <= 1e-12, keep
 
 
 class TestTargetOnlyOracle:
