@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from . import engine, identify, scm
-from .estimands import EvaluationError, evaluate_estimand, format_estimand
+from .estimands import DistTable, EvaluationError, format_estimand
+from .estimands import evaluate_estimand  # noqa: F401  kept: perfbench's estimands probe wraps `cli.evaluate_estimand`
 from .graphs import Admg, GraphError, parse_graph
 from .models import DataError, read_dataset_csv, write_dataset_csv
 
@@ -121,15 +122,17 @@ def _print_hedge(hedge, trace):
           f"with component {{{','.join(sorted(hedge.f_prime))}}}")
 
 
+def _identify(q: engine.QuerySpec, g: Admg) -> identify.IdResult:
+    y, x = frozenset(q.targets), frozenset(q.do_map)
+    if q.given:
+        return identify.identify_conditional_effect(y, x, frozenset(q.given_map), g)
+    return identify.identify_effect(y, x, g)
+
+
 def cmd_identify(args) -> int:
     g = _load_graph(args.graph)
     q = _load_query(args.query, g)
-    y = frozenset(q.targets)
-    x = frozenset(q.do_map)
-    if q.given:
-        result = identify.identify_conditional_effect(y, x, frozenset(q.given_map), g)
-    else:
-        result = identify.identify_effect(y, x, g)
+    result = _identify(q, g)
     if not result.identifiable:
         _print_hedge(result.hedge, result.trace)
         return EXIT_HEDGE
@@ -189,32 +192,25 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
-def _eval_one(entry: scm.CatalogEntry, query: scm.CatalogQuery, args, rng) -> str:
-    g = entry.scm.graph
-    label = f"{entry.name}: P({','.join(query.targets)} | do({','.join(query.do)})" + (
+def _eval_one(name: str, m: scm.DiscreteScm, query: scm.CatalogQuery, args, rng) -> str:
+    label = f"{name}: P({','.join(query.targets)} | do({','.join(query.do)})" + (
         f", {','.join(query.given)})" if query.given else ")"
     )
     if not query.identifiable:
         return f"| {label} | HEDGE | HEDGE |"
-    if query.given:
-        ref = identify.identify_conditional_effect(
-            frozenset(query.targets), frozenset(query.do), frozenset(query.given), g
-        )
-        table = evaluate_estimand(ref.estimand, scm.exact_joint(entry.scm))
-        truth = lambda fixed: table.fix({k: v for k, v in fixed.items() if k in table.names})
-    else:
-        truth = lambda fixed: scm.exact_interventional(entry.scm, fixed, query.targets)
-    obs = scm.sample_observational(entry.scm, args.obs_n, rng)
+    obs = scm.sample_observational(m, args.obs_n, rng)
     columns = [
-        f"{_worst_tvd(g, query, source, truth, args, rng):.4f}"
-        for source in (engine.DatasetSource(obs), engine.ExactSource(entry.scm.network))
+        f"{_worst_tvd(m, query, source, args, rng):.4f}"
+        for source in (engine.DatasetSource(obs), engine.ExactSource(m.network))
     ]
     return f"| {label} | {columns[0]} | {columns[1]} |"
 
 
-def _worst_tvd(g: Admg, query: scm.CatalogQuery, source, truth, args, rng) -> float:
+def _worst_tvd(m: scm.DiscreteScm, query: scm.CatalogQuery, source, args, rng) -> float:
     """Compile the query against `source`, then sample it at every do- and
-    given-configuration; the largest TVD from `truth(configuration)`."""
+    given-configuration; the largest TVD from the oracle's P(targets | do, given),
+    P(targets, given | do) fixed at the given values and normalised."""
+    g = m.graph
     options = dict(proposal=args.proposal, dprime_mult=args.dprime_mult, rng=rng)
     if query.given:
         spec = engine.QuerySpec(
@@ -224,20 +220,15 @@ def _worst_tvd(g: Admg, query: scm.CatalogQuery, source, truth, args, rng) -> fl
     else:
         y, x = frozenset(query.targets), frozenset(query.do)
         network = engine.build_network(y, x, g, source, **options).network
-    worst = 0.0
-    for do_vals in _configurations(g, query.do):
-        for given_vals in _configurations(g, query.given):
-            probe = engine.QuerySpec(query.targets, tuple(do_vals.items()), tuple(given_vals.items()))
-            drawn = engine.sample_interventional(network, probe, args.n, rng, workers=args.workers)
-            exact = truth({**do_vals, **given_vals})
-            worst = max(worst, scm.tvd(scm.empirical_distribution(drawn, exact.names), exact))
+    worst, split = 0.0, len(query.do)
+    for combo in itertools.product(*(range(g.variable(n).cardinality) for n in query.do + query.given)):
+        probe = engine.QuerySpec(query.targets, tuple(zip(query.do, combo[:split])),
+                                 tuple(zip(query.given, combo[split:])))
+        drawn = engine.sample_interventional(network, probe, args.n, rng, workers=args.workers)
+        joint = scm.exact_interventional(m, probe.do_map, query.targets + query.given).fix(probe.given_map)
+        exact = DistTable(joint.variables, joint.probs / joint.total())
+        worst = max(worst, scm.tvd(scm.empirical_distribution(drawn, exact.names), exact))
     return worst
-
-
-def _configurations(g: Admg, names: tuple[str, ...]):
-    cards = [g.variable(n).cardinality for n in names]
-    for combo in itertools.product(*(range(c) for c in cards)):
-        yield dict(zip(names, combo))
 
 
 def cmd_eval(args) -> int:
@@ -248,21 +239,13 @@ def cmd_eval(args) -> int:
             # one generator per entry, so its rows do not depend on the entries run before it
             rng = _rng(args.seed)
             for query in entry.queries:
-                rows.append(_eval_one(entry, query, args, rng))
+                rows.append(_eval_one(entry.name, entry.scm, query, args, rng))
     elif args.scm and args.query:
         model = scm.read_scm(args.scm)
         q = _load_query(args.query, model.graph)
-        do_names = tuple(n for n, _ in q.do)
-        given_names = tuple(n for n, _ in q.given)
-        if given_names:
-            result = identify.identify_conditional_effect(
-                frozenset(q.targets), frozenset(do_names), frozenset(given_names), model.graph
-            )
-        else:
-            result = identify.identify_effect(frozenset(q.targets), frozenset(do_names), model.graph)
-        entry = scm.CatalogEntry(Path(args.scm).stem, model, ())
-        query = scm.CatalogQuery(q.targets, do_names, given_names, identifiable=result.identifiable)
-        rows.append(_eval_one(entry, query, args, _rng(args.seed)))
+        query = scm.CatalogQuery(q.targets, tuple(q.do_map), tuple(q.given_map),
+                                 identifiable=_identify(q, model.graph).identifiable)
+        rows.append(_eval_one(Path(args.scm).stem, model, query, args, _rng(args.seed)))
     else:
         raise InputError("provide --catalog, or both --scm and --query")
     print("\n".join(rows))

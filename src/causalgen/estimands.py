@@ -13,6 +13,7 @@ one `ENUMERATION_BUDGET`.
 from __future__ import annotations
 
 import math
+import string
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence, Union
 
@@ -108,14 +109,16 @@ def contract(factors: Iterable[Factor], keep: Sequence[Hashable]) -> np.ndarray:
 
 def _einsum(factors: Sequence[Factor], out: Sequence[Hashable], size: dict) -> np.ndarray:
     """One `np.einsum` product of labelled tables onto `out`, refused when its
-    index space exceeds `ENUMERATION_BUDGET`."""
-    index, operands = {}, []
-    for labels, table in factors:
-        operands += [table, [index.setdefault(label, len(index)) for label in labels]]
+    index space exceeds `ENUMERATION_BUDGET`. Each label is a letter of the
+    subscript string (numpy's sublist form refuses ~256 subscripts in all);
+    the budget admits 23 labels of two or more states, so 52 letters suffice."""
+    index = dict.fromkeys(label for labels, _ in factors for label in labels)
     cells = math.prod(size[label] for label in index)
     if cells > ENUMERATION_BUDGET:
         raise EvaluationError(f"a product over {cells} cells exceeds the enumeration budget of {ENUMERATION_BUDGET}")
-    return np.einsum(*operands, [index[label] for label in out])
+    letter = dict(zip(index, string.ascii_letters))
+    spec = ",".join("".join(map(letter.get, labels)) for labels, _ in factors)
+    return np.einsum(f"{spec}->{''.join(map(letter.get, out))}", *(table for _, table in factors))
 
 
 # -- expression tree -----------------------------------------------------------

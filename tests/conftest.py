@@ -5,7 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
+from causalgen.estimands import DistTable
 from causalgen.graphs import Admg, Variable
+from causalgen.scm import DiscreteScm, exact_interventional
 
 
 def admg(spec_vars, directed=(), bidirected=()):
@@ -67,6 +69,13 @@ def random_query(rng: np.random.Generator, g: Admg, allow_empty_x=True):
     lo = 0 if allow_empty_x else 1
     nx = int(rng.integers(lo, len(names) - ny + 1))
     return frozenset(perm[:ny]), frozenset(perm[ny : ny + nx])
+
+
+def oracle_conditional(m: DiscreteScm, targets, do: dict[str, int], given: dict[str, int]) -> DistTable:
+    """The SCM oracle's P(targets | do, given): P(targets, given | do), fixed at
+    the given values and normalised, over `targets` in order."""
+    joint = exact_interventional(m, do, (*targets, *given)).fix(given)
+    return DistTable(joint.variables, joint.probs / joint.total())
 
 
 def brute_force_d_separated(g: Admg, a, b, given) -> bool:

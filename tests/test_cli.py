@@ -122,12 +122,19 @@ class TestSample:
         manifest = out.with_suffix(".manifest").read_text()
         assert "kind=placeholder" in manifest and "kind=exact" in manifest
 
-    @pytest.mark.parametrize("n", [24, 48])
-    def test_scm_sampling_past_the_joint(self, tmp_path, n):
+    @pytest.mark.parametrize("n, proposal", [
+        pytest.param(24, "uniform", id="24"),
+        pytest.param(48, "uniform", id="48"),
+        # 22 chain-rule proposal factors carry 253 subscripts, past numpy's sublist form
+        pytest.param(24, "marginal", id="24-marginal"),
+    ])
+    def test_scm_sampling_past_the_joint(self, tmp_path, capsys, n, proposal):
         write_scm(noisy_copy_scm(confounded_chain(n)), tmp_path / "c.scm", tmp_path / "c.graph")
         (tmp_path / "q.txt").write_text(f"target=V{n - 1}\ndo=V0=1\n")
         assert main(["sample", "--graph", str(tmp_path / "c.graph"), "--query", str(tmp_path / "q.txt"),
-                     "--scm", str(tmp_path / "c.scm"), "--n", "100", "--out", str(tmp_path / "o")]) == 0
+                     "--scm", str(tmp_path / "c.scm"), "--proposal", proposal, "--n", "100",
+                     "--out", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().err == ""
         assert "kind=exact" in (tmp_path / "o.manifest").read_text()
 
     def test_data_backed_sampling(self, frontdoor_files, capsys):
@@ -264,11 +271,17 @@ class TestEval:
         assert code == 0
         assert "fitted tvd" in out and "frontdoor" in out
 
-    @pytest.mark.parametrize("n", [24, 48])
-    def test_reaches_a_chain_past_the_joint(self, tmp_path, capsys, n):
-        # the exact source reads the SCM's network by contraction, never its 2^n-cell joint
+    @pytest.mark.parametrize("n, given", [
+        pytest.param(24, "", id="24"),
+        pytest.param(48, "", id="48"),
+        pytest.param(24, "given=V12=0\n", id="24-given"),
+        pytest.param(48, "given=V24=0\n", id="48-given"),
+    ])
+    def test_reaches_a_chain_past_the_joint(self, tmp_path, capsys, n, given):
+        # the exact source and the oracle's truth read the SCM's network by
+        # contraction, never its 2^n-cell joint, for conditional queries too
         write_scm(noisy_copy_scm(confounded_chain(n)), tmp_path / "c.scm", tmp_path / "c.graph")
-        (tmp_path / "q.txt").write_text(f"target=V{n - 1}\ndo=V0=1\n")
+        (tmp_path / "q.txt").write_text(f"target=V{n - 1}\ndo=V0=1\n{given}")
         code = main(["eval", "--scm", str(tmp_path / "c.scm"), "--query", str(tmp_path / "q.txt"),
                      "--n", "5000", "--obs-n", "2000"])
         row = capsys.readouterr().out.splitlines()[-1]
@@ -282,15 +295,18 @@ class TestEval:
         monkeypatch.setattr(scm, "exact_joint", refuse)
         scm_file, query = str(frontdoor_files / "frontdoor.scm"), str(frontdoor_files / "query.txt")
         assert main(["eval", "--scm", scm_file, "--query", query, "--n", "1000", "--obs-n", "1000"]) == 0
+        (frontdoor_files / "given.txt").write_text("target=R\ndo=X=1\ngiven=S=0\n")
+        assert main(["eval", "--scm", scm_file, "--query", str(frontdoor_files / "given.txt"),
+                     "--n", "1000", "--obs-n", "1000"]) == 0
         assert main(["sample", "--graph", str(frontdoor_files / "frontdoor.graph"), "--query", query,
                      "--scm", scm_file, "--n", "100", "--out", str(frontdoor_files / "o")]) == 0
 
     def test_joint_past_the_budget_is_one_line(self, tmp_path, capsys):
-        # a conditional query's truth is still evaluated on the joint
-        write_scm(noisy_copy_scm(confounded_chain(24)), tmp_path / "c.scm", tmp_path / "c.graph")
-        (tmp_path / "q.txt").write_text("target=V23\ndo=V0=1\ngiven=V12=0\n")
+        # the marginal proposal is the joint of the 24 variables step 7 draws
+        write_scm(noisy_copy_scm(confounded_chain(26)), tmp_path / "c.scm", tmp_path / "c.graph")
+        (tmp_path / "q.txt").write_text("target=V25\ndo=V0=1\n")
         assert_input_error(capsys, ["eval", "--scm", str(tmp_path / "c.scm"), "--query", str(tmp_path / "q.txt"),
-                                    "--n", "100", "--obs-n", "100"], "budget")
+                                    "--proposal", "marginal", "--n", "100", "--obs-n", "100"], "budget")
 
     def test_catalog_hedge_row(self, capsys):
         code = main(["eval", "--catalog", "bow", "--n", "1000", "--obs-n", "1000"])

@@ -52,6 +52,7 @@ from conftest import (
     chain_graph,
     frontdoor_graph,
     napkin_graph,
+    oracle_conditional,
     random_admg,
     random_query,
     zigzag_graph,
@@ -705,6 +706,9 @@ class TestConditionalSampler:
             expected = np.transpose(expected.probs, [expected.names.index(n) for n in modelled])
             got = network_law(sampler, point_masses(sampler, fixed), modelled).probs
             assert np.abs(got - expected).max() < 1e-12, fixed
+            oracle = oracle_conditional(m, targets, {n: fixed[n] for n in do}, {n: fixed[n] for n in given})
+            oracle = np.transpose(oracle.probs, [oracle.names.index(n) for n in modelled])
+            assert np.abs(got - oracle).max() < 1e-12, fixed
 
     def test_marginal_proposal_dataset_source(self):
         entry = catalog_entry("backdoor")
@@ -718,14 +722,16 @@ class TestConditionalSampler:
             identify_conditional_effect({"I"}, {"V"}, {"A"}, g).estimand, exact_joint(entry.scm)
         )
         rng = np.random.default_rng(72)
-        worst = 0.0
+        worst = worst_oracle = 0.0
         for v in range(2):
             for a in range(2):
                 query = QuerySpec(("I",), (("V", v),), (("A", a),))
                 draws = sample_interventional(sampler, query, 100_000, rng)
                 emp = empirical_distribution(draws, ["I"])
                 worst = max(worst, tvd(emp, table.fix({"V": v, "A": a})))
+                worst_oracle = max(worst_oracle, tvd(emp, oracle_conditional(entry.scm, ["I"], {"V": v}, {"A": a})))
         assert worst <= 0.03  # the bound of acceptance criterion C7
+        assert worst_oracle <= 0.03
 
 
 class TestProposalModels:

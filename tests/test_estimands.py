@@ -228,6 +228,13 @@ class TestContract:
         got = contract([((i, i + 1), m) for i, m in enumerate(mats)], (0, 59))
         np.testing.assert_allclose(got, np.linalg.multi_dot(mats), rtol=1e-12)
 
+    def test_many_subscripts_in_one_product(self):
+        # 29 tables over the same 9 labels: 261 subscripts in all, which numpy's
+        # sublist form refuses, though the product spans only 512 cells
+        labels = [f"v{i}" for i in range(9)]
+        got = contract([(labels, np.full((2,) * 9, 0.5))] * 29, ["v0"])
+        np.testing.assert_allclose(got, [0.5**29 * 2**8] * 2, rtol=1e-12)
+
     def test_budget_bounds_the_index_space(self):
         # one output cell, but the product loops over 4000 * 4000 > 10^7 cells;
         # a broadcast view holds them without allocating
