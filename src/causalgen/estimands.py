@@ -77,6 +77,7 @@ Factor = tuple[Sequence[Hashable], np.ndarray]  # (axis labels, table)
 
 # cells of the index space (every label of the call) one `np.einsum` may loop over
 ENUMERATION_BUDGET = 10_000_000
+EINSUM_OPERANDS = 32  # the most tables one `np.einsum` call takes: numpy 1.x takes 32, numpy 2 takes 64
 
 
 def contract(factors: Iterable[Factor], keep: Sequence[Hashable]) -> np.ndarray:
@@ -85,9 +86,12 @@ def contract(factors: Iterable[Factor], keep: Sequence[Hashable]) -> np.ndarray:
     order (Koller & Friedman, *Probabilistic Graphical Models*, ch. 9): while
     a hidden label remains, the one whose factors span the fewest cells goes,
     by multiplying just those factors and summing out every hidden label no
-    other factor holds; one product onto `keep` finishes. Labels are visited
-    in first-appearance order, ties too, so the order and the floats are fixed."""
+    other factor holds; one product onto `keep` finishes. A step that sums out
+    all of its labels leaves a number, and those numbers are folded into one
+    that joins the last product. Labels are visited in first-appearance order,
+    ties too, so the order and the floats are fixed."""
     pending = [(tuple(labels), table) for labels, table in factors]
+    numbers = []  # what the steps that sum out all of their labels leave
     size = {label: n for labels, table in pending for label, n in zip(labels, table.shape)}
     unknown = [label for label in keep if label not in size]
     if unknown:
@@ -102,8 +106,14 @@ def contract(factors: Iterable[Factor], keep: Sequence[Hashable]) -> np.ndarray:
         pending = [f for f in pending if hidden[k] not in f[0]]
         held = {x for labels, _ in pending for x in labels}.union(keep)
         out = tuple(x for x in spans[k] if x in held)
-        pending.append((out, _einsum(group, out, size)))
+        table = _einsum(group, out, size)
+        if out:
+            pending.append((out, table))
+        else:
+            numbers.append(table)
         hidden = [x for x in hidden if x in held]
+    if numbers:
+        pending.append(((), math.prod(numbers)))
     return _einsum(pending, keep, size)
 
 
@@ -111,11 +121,19 @@ def _einsum(factors: Sequence[Factor], out: Sequence[Hashable], size: dict) -> n
     """One `np.einsum` product of labelled tables onto `out`, refused when its
     index space exceeds `ENUMERATION_BUDGET`. Each label is a letter of the
     subscript string (numpy's sublist form refuses ~256 subscripts in all);
-    the budget admits 23 labels of two or more states, so 52 letters suffice."""
+    the budget admits 23 labels of two or more states, so 52 letters suffice.
+    Past `EINSUM_OPERANDS` tables, the first ones are multiplied onto the
+    labels that the rest or `out` still hold, a batch at a time; a batch spans
+    some of the product's labels, so it stays within the budget."""
     index = dict.fromkeys(label for labels, _ in factors for label in labels)
     cells = math.prod(size[label] for label in index)
     if cells > ENUMERATION_BUDGET:
         raise EvaluationError(f"a product over {cells} cells exceeds the enumeration budget of {ENUMERATION_BUDGET}")
+    while len(factors) > EINSUM_OPERANDS:
+        batch, factors = factors[:EINSUM_OPERANDS], factors[EINSUM_OPERANDS:]
+        held = {label for labels, _ in factors for label in labels}.union(out)
+        kept = tuple(dict.fromkeys(x for labels, _ in batch for x in labels if x in held))
+        factors = [(kept, _einsum(batch, kept, size)), *factors]
     letter = dict(zip(index, string.ascii_letters))
     spec = ",".join("".join(map(letter.get, labels)) for labels, _ in factors)
     return np.einsum(f"{spec}->{''.join(map(letter.get, out))}", *(table for _, table in factors))

@@ -204,7 +204,8 @@ class Dataset:
 CSV_CHUNK_ROWS = 1 << 16  # bounds the temporary values and text of one write
 CSV_CHUNK_BYTES = 1 << 16  # bounds the temporary arrays of one read
 CSV_MAX_DIGITS = 18  # every 18-digit cell fits int64
-DRAW_CHUNK_ROWS = 1 << 16  # bounds the temporary uniforms and indices of one draw or count
+DRAW_CHUNK_ROWS = 1 << 16  # bounds the temporary uniforms and indices of one draw or count; even
+_HALF_WORD = 1 << 31  # a draw's uniform is a 31-bit half of a random word
 
 
 def write_dataset_csv(d: Dataset, path: str | Path, sidecar: str | Path | None = None):
@@ -508,46 +509,70 @@ def draw_categorical(table: np.ndarray, context: Sequence[np.ndarray], n: int,
                      rng: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
     """One inverse-CDF draw for each of n rows, from the row of `table`, shaped
     (context cardinalities..., states), that the row's `context` columns pick:
-    how many of that row's cumulative probabilities, the last one excluded, a
-    uniform exceeds, found by a branchless binary search in log2(k) gathers per
-    draw (comparing with every threshold would cost k). The states are written
-    into `out`, n entries of any unsigned dtype that holds k - 1, or else into
-    a new array of the narrowest unsigned dtype, uint8 for k <= 256. Rows are
-    drawn a chunk at a time, the search running in place on the chunk's slice
-    of the result, so no temporary has n entries; the chunks' uniforms are the
-    stream of one `rng.random(n)`. A chunk's table rows are its context's
-    joint index, by the Horner's rule of `joint_index`, written into a reused
-    intp buffer; the context must lie within its cardinalities."""
+    how many of that row's thresholds, the last state's excluded, a 31-bit
+    uniform U reaches, found by a branchless binary search in log2(k) gathers
+    per draw (comparing with every threshold would cost k). State j's
+    threshold is ceil(c * 2^31), c the row's cumulative probability before j,
+    so a zero-probability state is never drawn and each cumulative probability
+    is drawn within 2^-31 of the table's; the search pads a row with 2^31,
+    which U never reaches, so no state reaches k. The states are written into
+    `out`, n entries of any unsigned dtype that holds k - 1, or else into a new
+    array of the narrowest unsigned dtype, uint8 for k <= 256. Rows are drawn a
+    chunk at a time, the search running in place on the chunk's slice of the
+    result, so no temporary has n entries. A chunk of c draws reads
+    ceil(c / 2) words of `rng.integers(0, 2^64, dtype=uint64)`, each split
+    into its little-endian 32-bit halves and shifted right by one bit, so two
+    draws share a word, the same on either byte order, and the draws do not
+    depend on the (even) chunk size. A chunk's table rows are its context's
+    joint index, by the Horner's rule of `joint_index` in that index's narrow
+    dtype, cast once into a reused intp buffer; the context must lie within
+    its cardinalities."""
     *cards, k = table.shape
-    width = 1 << (k - 1).bit_length()
-    # row r holds its thresholds at r * width + 1 ..., padded with +inf; slot 0 is unused
-    thresholds = np.full((math.prod(cards), width), np.inf)
-    np.add.accumulate(table.reshape(-1, k)[:, :-1], axis=1, out=thresholds[:, 1:k])
-    thresholds = thresholds.ravel()
+    cells, width = math.prod(cards), 1 << (k - 1).bit_length()
+    # row r holds its thresholds at r * width + 1 ..., padded with 2^31; slot 0 is unused.
+    # Scaling by 2^31 before the sum is exact, so the floats are those of cumsum * 2^31.
+    scaled = np.full((cells, width), float(_HALF_WORD))
+    cum = np.multiply(table.reshape(cells, k)[:, :-1], float(_HALF_WORD), out=scaled[:, 1:k])
+    if k > 2:
+        np.add.accumulate(cum, axis=1, out=cum)
+    thresholds = np.ceil(scaled, out=scaled).astype(np.uint32).ravel()
     dtype = _unsigned((width - 1).bit_length())
     # a dtype that holds k - 1 has its bits, so it holds every state of the search, up to width - 1
     states = np.empty(n, dtype=dtype) if out is None else out
-    # the chunk's row indices, and the probe: a flat index gathers twice as fast as a 2-D one
-    rows, probe = np.empty((2, min(n, DRAW_CHUNK_ROWS)), dtype=np.intp)
+    # the first level starts from state 0, so it reads slot width / 2 of each row (k = 1 reads slot 0, 2^31)
+    first = np.ascontiguousarray(thresholds[width >> 1 :: width])  # one entry a row; a single one without a context
+    chunk = min(n, DRAW_CHUNK_ROWS)
+    if context:
+        # the chunk's joint index (a lone column is its own), its intp copy that a
+        # gather reads, and the gathered thresholds of the first level
+        narrow = np.empty(chunk, dtype=_unsigned((cells - 1).bit_length()))
+        rows, gathered = np.empty(chunk, dtype=np.intp), np.empty(chunk, dtype=np.uint32)
+    if width > 2:
+        probe = np.empty(chunk, dtype=np.intp)  # a flat index gathers twice as fast as a 2-D one
     row = 0  # without a context every draw reads row 0
     for start in range(0, n, DRAW_CHUNK_ROWS):
         stop = min(start + DRAW_CHUNK_ROWS, n)
-        u = rng.random(stop - start)
-        state, at = states[start:stop], probe[: stop - start]
+        c = stop - start
+        u = rng.integers(0, 1 << 64, (c + 1) >> 1, dtype=np.uint64).astype("<u8", copy=False).view("<u4")[:c]
+        u >>= 1
+        state = states[start:stop]
         if context:
-            row = _ravel_into(rows[: stop - start], [c[start:stop] for c in context], cards)
-        # the first level starts from state 0, so it reads slot `step` of each row
-        # through a strided view, and writes the state (k = 1 reads slot 0, +inf)
+            row = rows[:c]
+            columns = [col[start:stop] for col in context]
+            np.copyto(row, columns[0] if len(columns) == 1 else _ravel_into(narrow[:c], columns, cards))
+            # mode "clip" gathers straight into `out`, where "raise" would buffer it; no index is out of range
+            np.greater_equal(u, first.take(row, out=gathered[:c], mode="clip"), out=state)
+        else:
+            np.greater_equal(u, first, out=state)
         step = width >> 1
-        np.greater(u, thresholds[step::width][row], out=state)
         if step > 1:
             state *= step
             row *= width
         while step > 1:
             step >>= 1
             # a view that starts `step` slots on reads row * width + state + step
-            index = np.add(row, state, out=at)
-            state += dtype.type(step) * (u > thresholds[step:][index])
+            index = np.add(row, state, out=probe[:c])
+            state += dtype.type(step) * (u >= thresholds[step:][index])
     return states
 
 

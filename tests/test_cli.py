@@ -125,6 +125,7 @@ class TestSample:
     @pytest.mark.parametrize("n, proposal", [
         pytest.param(24, "uniform", id="24"),
         pytest.param(48, "uniform", id="48"),
+        pytest.param(65, "uniform", id="65"),
         # 22 chain-rule proposal factors carry 253 subscripts, past numpy's sublist form
         pytest.param(24, "marginal", id="24-marginal"),
     ])
@@ -274,6 +275,8 @@ class TestEval:
     @pytest.mark.parametrize("n, given", [
         pytest.param(24, "", id="24"),
         pytest.param(48, "", id="48"),
+        # past 64 nodes the steps' summed-out numbers outnumber one einsum's operands
+        pytest.param(65, "", id="65"),
         pytest.param(24, "given=V12=0\n", id="24-given"),
         pytest.param(48, "given=V24=0\n", id="48-given"),
     ])

@@ -235,6 +235,21 @@ class TestContract:
         got = contract([(labels, np.full((2,) * 9, 0.5))] * 29, ["v0"])
         np.testing.assert_allclose(got, [0.5**29 * 2**8] * 2, rtol=1e-12)
 
+    def test_more_tables_than_one_einsum_takes(self):
+        # 70 tables over one kept label: numpy 2 takes at most 64 operands a call
+        rng = np.random.default_rng(65)
+        tables = [rng.random(3) + 0.5 for _ in range(70)]
+        got = contract([(("a",), t) for t in tables], ["a"])
+        np.testing.assert_allclose(got, np.prod(tables, axis=0), rtol=1e-12)
+        # 70 labels, each summed out on its own: 70 numbers, folded into one
+        got = contract([((("x", i),), t) for i, t in enumerate(tables)], [])
+        np.testing.assert_allclose(got, np.prod([t.sum() for t in tables]), rtol=1e-12)
+        # both, beside a kept label
+        factors = [((("x", i),), t) for i, t in enumerate(tables)] + [(("a",), t) for t in tables]
+        got = contract(factors, ["a"])
+        want = np.prod(tables, axis=0) * np.prod([t.sum() for t in tables])
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
     def test_budget_bounds_the_index_space(self):
         # one output cell, but the product loops over 4000 * 4000 > 10^7 cells;
         # a broadcast view holds them without allocating

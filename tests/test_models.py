@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from causalgen.engine import DatasetSource, SamplingNetwork, ancestral_sample, proposal_models
+from causalgen import models
 from causalgen.graphs import Admg, Variable
 from causalgen.models import (
     CSV_CHUNK_BYTES,
@@ -512,13 +513,17 @@ class TestSampling:
 
 
 def gather_reference(table, rows, rng):
-    """Inverse CDF by comparing the uniform with every cumulative probability
-    of its row, as `ConditionalModel.sample_n` drew before the binary search;
-    one `rng.random(n)`, compared a block of rows at a time to bound memory."""
-    cdf = np.cumsum(table, axis=1)
-    u = rng.random(len(rows))
+    """Inverse CDF by comparing the uniform with every threshold of its row,
+    ceil(cumulative probability * 2^31), as the binary search must: the
+    uniforms are the 31-bit little-endian halves of `rng.integers` 64-bit
+    words, each shifted right by one bit, compared a block of rows at a time to
+    bound memory."""
+    thresholds = np.ceil(np.cumsum(table, axis=1) * 2.0**31)
+    words = rng.integers(0, 1 << 64, (len(rows) + 1) // 2, dtype=np.uint64)
+    u = (words.astype("<u8").view("<u4")[: len(rows)] >> 1).astype(np.int64)
     blocks = range(0, len(rows), 10_000)
-    counts = np.concatenate([(u[i : i + 10_000, None] > cdf[rows[i : i + 10_000]]).sum(axis=1) for i in blocks])
+    counts = np.concatenate(
+        [(u[i : i + 10_000, None] >= thresholds[rows[i : i + 10_000]]).sum(axis=1) for i in blocks])
     return np.clip(counts, 0, table.shape[1] - 1)
 
 
@@ -538,6 +543,35 @@ class TestDrawCategorical:
             drawn = draw_categorical(table, [rows], n, np.random.default_rng(7))
             assert drawn.dtype == np.min_scalar_type(k - 1)
             assert np.array_equal(drawn, expected), n
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 257])
+    @pytest.mark.parametrize("word", [0, 2**64 - 1], ids=["zeros", "ones"])
+    def test_extreme_words_draw_only_positive_states(self, k, word):
+        # words of all zeros or all ones give the uniforms 0 and 2^31 - 1, the
+        # ends that a first or a last state of probability 0 must not catch
+        class Words:
+            def integers(self, low, high, size, dtype):
+                return np.full(size, word, dtype=dtype)
+
+        table = np.random.default_rng(k).dirichlet(np.ones(k), size=3)
+        table[0, 0] = table[1, -1] = 0.0
+        if k > 2:
+            table[2, [0, -1]] = 0.0
+        table /= table.sum(axis=1, keepdims=True)
+        rows = np.arange(1000) % 3
+        drawn = draw_categorical(table, [rows], 1000, Words())
+        assert (drawn < k).all()
+        assert (table[rows, drawn] > 0).all()
+
+    @pytest.mark.parametrize("k", [2, 3, 17])
+    def test_draws_do_not_depend_on_the_chunk_size(self, k, monkeypatch):
+        gen = np.random.default_rng(k)
+        table = gen.dirichlet(np.ones(k), size=6).reshape(2, 3, k)
+        n = 3 * DRAW_CHUNK_ROWS + 5  # an odd last chunk discards the second half of its last word
+        context = [gen.integers(0, 2, n), gen.integers(0, 3, n)]
+        expected = draw_categorical(table, context, n, np.random.default_rng(7))
+        monkeypatch.setattr(models, "DRAW_CHUNK_ROWS", 4096)
+        assert np.array_equal(draw_categorical(table, context, n, np.random.default_rng(7)), expected)
 
     def test_allocates_no_row_sized_temporary(self):
         # an int64 temporary of the rows alone would take 8 MB
