@@ -18,7 +18,8 @@ returns the step-7 source drawn from the inner network's models, the
 proposal's (`proposal_models`) on the newly intervened variables included; the
 placeholders left empty, the anchors (the intervention history), keep the
 current source's values. A source is never narrowed: it may hold columns the
-working graph does not name, and only the graph's names are read.
+working graph and the intervention history do not name, and only their names
+are read.
 `network_law` is the one definition of a network's distribution.
 """
 
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -364,33 +364,32 @@ class ExactSource:
 
 @dataclass(frozen=True)
 class RecursionState:
-    """One level of the compile recursion: the query `y` given do(`x`), the data
-    source, and the history graph `g_hat`, which keeps the accumulated
-    partially-applied interventions `x_hat` as context nodes with no parents or
-    bidirected edges (so a model needs only its c-factor context). The working
-    graph `g` is derived: `g_hat` without `x_hat`. The source has a column for
-    every variable of g_hat and may have more: fits, anchors and proposals take
-    their names from g_hat, so the other columns are never read.
+    """One level of the compile recursion: the query `y` given do(`x`) on the
+    working graph `g`, then the payload: the data source, the accumulated
+    partially-applied interventions `x_hat`, and the history graph `g_hat`.
+    `g_hat` is the root graph with the edges into `x_hat` and the bidirected
+    edges at `x_hat` removed; it is never narrowed, since a model's c-factor
+    context is read along the order of `x_hat` and `g`'s names, which sees only
+    the graph induced on them. The source has a column for every variable of
+    `x_hat` and `g` and may have more, which are never read.
     """
 
     y: frozenset[str]
     x: frozenset[str]
+    g: Admg
     source: DatasetSource | ExactSource
     x_hat: frozenset[str]
     g_hat: Admg
 
     def __post_init__(self):
-        names = set(self.g_hat.names)
-        if not self.x_hat <= names:
+        if not self.x_hat <= set(self.g_hat.names):
             raise EngineError("x_hat must be part of g_hat")
+        if not self.x_hat.isdisjoint(self.g.names):
+            raise EngineError("x_hat must be disjoint from g")
         if any(self.g_hat.parents(n) or any(n in p for p in self.g_hat.bidirected) for n in self.x_hat):
             raise EngineError("x_hat must have no parents or bidirected edges in g_hat")
-        if not names <= set(self.source.columns):
-            raise EngineError("data source must have a column for every variable of g_hat")
-
-    @cached_property
-    def g(self) -> Admg:
-        return self.g_hat.induced_subgraph(set(self.g_hat.names) - self.x_hat)
+        if not self.x_hat.union(self.g.names) <= set(self.source.columns):
+            raise EngineError("data source must have a column for every variable of x_hat and g")
 
 
 @dataclass
@@ -408,10 +407,6 @@ class BuildContext:
     def s1_leaf(self, state: RecursionState) -> SamplingNetwork:
         # with nothing to intervene on, model every remaining variable
         return fit_conditional_models(frozenset(state.g.names), frozenset(), state, self)
-
-    def s2_narrow(self, state: RecursionState, ancestors: frozenset[str]) -> RecursionState:
-        g_hat = state.g_hat.induced_subgraph(ancestors | state.x_hat)
-        return replace(state, x=state.x & ancestors, g_hat=g_hat)
 
     def s4_combine(self, state: RecursionState, parts: list[SamplingNetwork]) -> SamplingNetwork:
         return merge_networks(parts)
@@ -450,7 +445,7 @@ def build_network(
         raise EngineError(f"unknown proposal {proposal!r}")
     if not (math.isfinite(dprime_mult) and dprime_mult > 0):
         raise EngineError(f"dprime_mult must be finite and positive, got {dprime_mult}")
-    state = RecursionState(y, x, source, frozenset(), g)
+    state = RecursionState(y, x, g, source, frozenset(), g)
     ctx = BuildContext(
         root_order=tuple(g.topological_order()),
         proposal=proposal,
@@ -473,15 +468,16 @@ def build_network(
 def fit_conditional_models(
     y: frozenset[str], x: frozenset[str], state: RecursionState, ctx: BuildContext
 ) -> SamplingNetwork:
-    """Fit one conditional sampler per modelled variable, in topological order of
-    the history graph; intervention and history variables become placeholders.
-    Each model's context is its `Admg.c_factor_context` in the history graph,
-    which gives the law of conditioning on every variable before it."""
+    """Fit one conditional sampler per modelled variable, in the root order of the
+    history and working variables; intervention and history variables become
+    placeholders. Each model's context is its `Admg.c_factor_context` along that
+    order in the history graph, which gives the law of conditioning on every
+    variable before it."""
     g_hat = state.g_hat
     placeholders = sorted(x | state.x_hat, key=ctx.root_order.index)
     nodes: dict[str, ConditionalModel | None] = dict.fromkeys(placeholders)
-    gh_names = set(g_hat.names)
-    order = [n for n in ctx.root_order if n in gh_names]
+    names = state.x_hat.union(state.g.names)
+    order = [n for n in ctx.root_order if n in names]
     for name in order:
         if name in y:
             nodes[name] = state.source.fit(name, g_hat.c_factor_context(order, name))
@@ -492,17 +488,16 @@ def apply_partial_intervention(
     s_prime: frozenset[str], state: RecursionState, ctx: BuildContext
 ) -> RecursionState:
     """Apply do(X_Z) for X_Z = x minus s_prime: fit samplers for s_prime, redraw
-    the working data with X_Z from the proposal, and narrow every parameter to
-    s_prime plus the enlarged intervention history."""
+    the working data with X_Z from the proposal, narrow the query and the
+    working graph to s_prime, and cut X_Z's incoming edges from the history graph."""
     if not s_prime:
         raise EngineError("empty component for partial intervention")
     x_z = state.x - s_prime
     inner = fit_conditional_models(s_prime, x_z, state, ctx)
     models = proposal_models(ctx.proposal, sorted(x_z, key=ctx.root_order.index), state.g_hat, state.source)
     source = state.source.regenerate(replace(inner, nodes={**inner.nodes, **models}), ctx.dprime_mult, ctx.rng)
-    x_hat = state.x_hat | x_z
-    g_hat = state.g_hat.induced_subgraph(x_hat | s_prime).remove_incoming(x_hat)
-    return RecursionState(state.y, state.x & s_prime, source, x_hat, g_hat)
+    return RecursionState(state.y, state.x & s_prime, state.g.induced_subgraph(s_prime), source,
+                          state.x_hat | x_z, state.g_hat.remove_incoming(x_z))
 
 
 def proposal_models(

@@ -45,8 +45,9 @@ class Admg:
         bidirected: Iterable[tuple[str, str]] = (),
     ):
         self.variables: tuple[Variable, ...] = tuple(variables)
-        self._index = {v.name: i for i, v in enumerate(self.variables)}
-        if len(self._index) != len(self.variables):
+        self.names: tuple[str, ...] = tuple(v.name for v in self.variables)
+        self._index = {name: i for i, name in enumerate(self.names)}
+        if len(self._index) != len(self.names):
             raise GraphError("duplicate variable names")
 
         directed = tuple(directed)
@@ -80,10 +81,6 @@ class Admg:
         self._topo = self._kahn()  # also validates acyclicity
 
     # -- basic lookups ------------------------------------------------------
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self.variables)
 
     def variable(self, name: str) -> Variable:
         self._check_known(name)
@@ -224,9 +221,10 @@ class Admg:
     # -- d-separation -------------------------------------------------------
 
     def d_separated(self, a: Iterable[str], b: Iterable[str], given: Iterable[str] = ()) -> bool:
-        """Test a independent of b given `given`, treating each bidirected edge as
-        an explicit latent parent of both endpoints before running standard
-        d-separation on the expanded DAG."""
+        """Test a independent of b given `given` by reachability along active trails
+        (Bayes ball). A bidirected edge stands for a latent parent of both
+        endpoints, so a ball that may go up to a node's parents may also go
+        through that latent down into the node's siblings."""
         a, b, given = set(a), set(b), set(given)
         for s in (a, b, given):
             for n in s:
@@ -234,19 +232,8 @@ class Admg:
         if (a & b) or (a & given) or (b & given):
             raise GraphError("d_separated arguments must be pairwise disjoint")
 
-        parents, children = self._expanded_dag()
-        # ancestors of the conditioning set, in the expanded DAG
-        anc_given = set(given)
-        stack = list(given)
-        while stack:
-            v = stack.pop()
-            for p in parents[v]:
-                if p not in anc_given:
-                    anc_given.add(p)
-                    stack.append(p)
-
-        # reachability along active trails (Bayes-ball style)
-        visited: set[tuple] = set()
+        anc_given = self.ancestors(given)
+        visited: set[tuple[str, str]] = set()
         agenda = [(s, "up") for s in a]
         reachable: set[str] = set()
         while agenda:
@@ -256,26 +243,13 @@ class Admg:
             visited.add((node, direction))
             if node not in given:
                 reachable.add(node)
-            if direction == "up" and node not in given:
-                agenda.extend((p, "up") for p in parents[node])
-                agenda.extend((c, "down") for c in children[node])
-            elif direction == "down":
-                if node not in given:
-                    agenda.extend((c, "down") for c in children[node])
-                if node in anc_given:
-                    agenda.extend((p, "up") for p in parents[node])
+                agenda.extend((c, "down") for c in self._children[node])
+            # from a child a ball passes up through an unconditioned node; from a
+            # parent or sibling it turns back up only at a collider `given` opens
+            if (node not in given) if direction == "up" else (node in anc_given):
+                agenda.extend((p, "up") for p in self._parents[node])
+                agenda.extend((s, "down") for s in self._siblings[node])
         return not (reachable & b)
-
-    def _expanded_dag(self) -> tuple[dict, dict]:
-        """The DAG with each latent keyed by its pair, which no name equals."""
-        parents = {v: list(self._parents[v]) for v in self.names}
-        children = {v: list(self._children[v]) for v in self.names}
-        for pair in self.latent_pairs():
-            parents[pair] = []
-            children[pair] = list(pair)
-            for endpoint in pair:
-                parents[endpoint].append(pair)
-        return parents, children
 
     def latent_pairs(self) -> list[tuple[str, str]]:
         """Bidirected edges as ordered pairs, in a canonical deterministic order."""

@@ -6,7 +6,8 @@ observational distribution, or returns the hedge witnessing non-identifiability.
 maximal rule-2 subset of z into the intervention set and then taking a quotient.
 
 The seven-step recursion is written once, in `run_id`: it makes every step
-test, records the trace and raises the hedge. What a step builds comes from an
+test, records the trace, raises the hedge and narrows the working graph at
+step 2. What the base cases, step 4's join and step 7 build comes from an
 interpreter: `Symbolic` here reads the recursion as estimand algebra, and
 `engine.BuildContext` reads it as fitting and merging a sampling network. Both
 readings therefore enter the same steps on the same query by construction.
@@ -140,13 +141,14 @@ def maximal_rule2_shift(
 def run_id(state, interp, depth: int = 0):
     """One level of the ID recursion (Shpitser & Pearl 2006).
 
-    `state` is a frozen dataclass with attributes `y`, `x` and `g` plus the
-    interpreter's own payload. The step tests, the trace (appended to
-    `interp.trace`) and the step-5 hedge (raised as NotIdentifiable) live here;
-    `interp` builds what the steps return: `s1_leaf(state)` and
-    `s6_leaf(state, s)` the base cases, `s2_narrow(state, ancestors)` and
-    `s7_intervene(state, s_prime)` the state to recurse on, and
-    `s4_combine(state, parts)` the join of the c-components' results.
+    `state` is a frozen dataclass with fields `y`, `x` and the working graph `g`
+    plus the interpreter's own payload. The step tests, the trace (appended to
+    `interp.trace`), the step-5 hedge (raised as NotIdentifiable) and the
+    states of steps 2-4, which change only `y`, `x` and `g`, live here;
+    `interp` builds what the other steps return: `s1_leaf(state)` and
+    `s6_leaf(state, s)` the base cases, `s7_intervene(state, s_prime)` the
+    state to recurse on, and `s4_combine(state, parts)` the join of the
+    c-components' results.
     """
     y, x, g = state.y, state.x, state.g
     v = set(g.names)
@@ -161,7 +163,7 @@ def run_id(state, interp, depth: int = 0):
     ancestors = g.ancestors(y)
     if v - ancestors:
         enter("S2")
-        return run_id(interp.s2_narrow(state, frozenset(ancestors)), interp, depth + 1)
+        return run_id(replace(state, x=x & ancestors, g=g.induced_subgraph(ancestors)), interp, depth + 1)
 
     # step 3: absorb variables made irrelevant by the intervention
     w = (v - x) - g.remove_incoming(x).ancestors(y)
@@ -223,9 +225,6 @@ class Symbolic:
 
     def s1_leaf(self, state: SymbolicState) -> Estimand:
         return CondTerm(tuple(state.g.sorted_names(state.y)), (), state.ref)
-
-    def s2_narrow(self, state: SymbolicState, ancestors: frozenset[str]) -> SymbolicState:
-        return replace(state, x=state.x & ancestors, g=state.g.induced_subgraph(ancestors))
 
     def s4_combine(self, state: SymbolicState, parts: list[Estimand]) -> Estimand:
         return sum_over(state.g.sorted_names(set(state.g.names) - state.y - state.x), product_of(parts))

@@ -212,7 +212,7 @@ def test_c6_step7_dataset_law():
     entry = catalog_entry("napkin")
     g = entry.scm.graph
     data = sample_observational(entry.scm, N_OBS, np.random.default_rng(60))
-    state = RecursionState(frozenset({"Y"}), frozenset({"W1", "W2", "X"}), DatasetSource(data), frozenset(), g)
+    state = RecursionState(frozenset({"Y"}), frozenset({"W1", "W2", "X"}), g, DatasetSource(data), frozenset(), g)
     ctx = BuildContext(root_order=tuple(g.topological_order()), rng=np.random.default_rng(61))
     new = apply_partial_intervention(frozenset({"W1", "X", "Y"}), state, ctx)
     dprime = new.source.dataset

@@ -71,7 +71,7 @@ def exact_source(g):
 
 
 def root_state(y, x, g, source):
-    return RecursionState(frozenset(y), frozenset(x), source, frozenset(), g)
+    return RecursionState(frozenset(y), frozenset(x), g, source, frozenset(), g)
 
 
 class TestQuerySpec:
@@ -171,7 +171,7 @@ class TestPartialIntervention:
         g = napkin_graph()
         m = noisy_copy_scm(g)
         data = sample_observational(m, n, np.random.default_rng(seed))
-        state = RecursionState(frozenset({"Y"}), frozenset({"W1", "W2", "X"}), DatasetSource(data), frozenset(), g)
+        state = RecursionState(frozenset({"Y"}), frozenset({"W1", "W2", "X"}), g, DatasetSource(data), frozenset(), g)
         ctx = BuildContext(root_order=tuple(g.topological_order()), rng=np.random.default_rng(seed + 1))
         return m, state, ctx
 
@@ -182,6 +182,7 @@ class TestPartialIntervention:
         assert new.x_hat == {"W2"}
         assert new.g.names == ("W1", "X", "Y")
         assert new.g_hat.directed == frozenset({("W2", "X"), ("X", "Y")})
+        assert new.g_hat == napkin_graph().remove_incoming({"W2"})  # the root graph, never narrowed
         assert set(new.source.columns) == {"W1", "W2", "X", "Y"}
 
     def test_napkin_regenerated_data_law(self):
@@ -199,7 +200,7 @@ class TestPartialIntervention:
     def test_exact_regeneration_matches_sampled_law(self):
         m, state, ctx = self.napkin_step7_state()
         sampled = apply_partial_intervention(frozenset({"W1", "X", "Y"}), state, ctx)
-        exact_state = RecursionState(state.y, state.x, ExactSource(m.network), frozenset(), state.g_hat)
+        exact_state = RecursionState(state.y, state.x, state.g, ExactSource(m.network), frozenset(), state.g_hat)
         src = apply_partial_intervention(frozenset({"W1", "X", "Y"}), exact_state, ctx).source
         law = src.marginal_table(src.columns)
         emp = empirical_distribution(sampled.source.dataset, law.names)
@@ -488,11 +489,41 @@ class TestBuildNetwork:
         with pytest.raises(EngineError, match=r"\['W2'\].*not do-variables"):
             build_network({"Y"}, {"X"}, g, exact_source(g))
 
+    def test_builds_no_graphs_beyond_the_symbolic_recursion(self, monkeypatch):
+        # the working graph is carried in the state, so the compiler's only
+        # graphs of its own are step 7's history graphs, one per S7 entry
+        built = [0]
+        init = Admg.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built[0] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Admg, "__init__", counting_init)
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            g = random_admg(rng)
+            y, x = random_query(rng, g)
+            data = Dataset(g.variables, rng.integers(0, 2, size=(256, len(g.names))))
+            built[0] = 0
+            identify_effect(y, x, g)
+            symbolic = built[0]
+            built[0] = 0
+            result = build_network(y, x, g, DatasetSource(data), rng=np.random.default_rng(0))
+            s7 = sum(1 for entry in result.trace if entry.step == "S7")
+            assert built[0] <= symbolic + s7, (g, y, x)
+
     def test_state_rejects_history_with_parents_or_confounders(self):
         g = frontdoor_graph()  # X -> S -> R, X <-> R
         for x_hat in ({"X"}, {"S"}):
+            rest = g.induced_subgraph(set(g.names) - x_hat)
             with pytest.raises(EngineError, match="x_hat must have no parents"):
-                RecursionState(frozenset({"R"}), frozenset(), exact_source(g), frozenset(x_hat), g)
+                RecursionState(frozenset({"R"}), frozenset(), rest, exact_source(g), frozenset(x_hat), g)
+
+    def test_state_rejects_history_inside_the_working_graph(self):
+        g = frontdoor_graph().remove_incoming({"X"})  # X has no parents or confounders left
+        with pytest.raises(EngineError, match="x_hat must be disjoint from g"):
+            RecursionState(frozenset({"R"}), frozenset(), g, exact_source(g), frozenset({"X"}), g)
 
     def test_rejects_bad_arguments(self):
         g = chain_graph()
@@ -792,7 +823,7 @@ def regeneration_error(proposal: str, state: RecursionState, s_prime: frozenset,
 
 def step7_states(proposal: str, y, x, g: Admg, source) -> Step7Recorder:
     ctx = Step7Recorder(root_order=tuple(g.topological_order()), proposal=proposal)
-    run_id(RecursionState(frozenset(y), frozenset(x), source, frozenset(), g), ctx)
+    run_id(RecursionState(frozenset(y), frozenset(x), g, source, frozenset(), g), ctx)
     return ctx
 
 

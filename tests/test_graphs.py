@@ -114,6 +114,19 @@ class TestCFactorContext:
         assert g.c_factor_context(["B", "A", "C"], "C") == ("B", "A")
         assert g.c_factor_context(["A", "B", "C"], "C") == ("A", "B")
 
+    def test_reads_only_the_graph_induced_on_its_order(self, rng):
+        # the compiler's history graph is never narrowed, which relies on this
+        cases = 0
+        for _ in range(200):
+            g = random_admg(rng)
+            kept = {n for n in g.names if rng.random() < 0.8}
+            order = [n for n in g.topological_order() if n in kept and rng.random() < 0.8]
+            sub = g.induced_subgraph(kept)
+            for name in order:
+                assert g.c_factor_context(order, name) == sub.c_factor_context(order, name)
+                cases += 1
+        assert cases > 300
+
 
 class TestMutilation:
     def test_remove_incoming_strips_parents_and_confounders(self):
