@@ -198,37 +198,48 @@ def _eval_one(name: str, m: scm.DiscreteScm, query: scm.CatalogQuery, args, rng)
     )
     if not query.identifiable:
         return f"| {label} | HEDGE | HEDGE |"
+    probes = _probes(m, query)
     obs = scm.sample_observational(m, args.obs_n, rng)
-    columns = [
-        f"{_worst_tvd(m, query, source, args, rng):.4f}"
-        for source in (engine.DatasetSource(obs), engine.ExactSource(m.network))
-    ]
-    return f"| {label} | {columns[0]} | {columns[1]} |"
+    network = _compile(m.graph, query, engine.DatasetSource(obs), args, rng)
+    del obs  # the network keeps no rows, so they go before any sample is drawn
+    fitted = _worst_tvd(network, probes, args, rng)
+    exact = _worst_tvd(_compile(m.graph, query, engine.ExactSource(m.network), args, rng), probes, args, rng)
+    return f"| {label} | {fitted:.4f} | {exact:.4f} |"
 
 
-def _worst_tvd(m: scm.DiscreteScm, query: scm.CatalogQuery, source, args, rng) -> float:
-    """Compile the query against `source`, then sample it at every do- and
-    given-configuration; the largest TVD from the oracle's P(targets | do, given),
-    P(targets, given | do) fixed at the given values and normalised."""
-    g = m.graph
+def _probes(m: scm.DiscreteScm, query: scm.CatalogQuery) -> list[tuple[engine.QuerySpec, DistTable]]:
+    """Every do- and given-configuration of the query with the oracle's
+    P(targets | do, given) there: P(targets, given | do) fixed at the given
+    values and normalised, computed once and scored against by both columns."""
+    g, split, probes = m.graph, len(query.do), []
+    for combo in itertools.product(*(range(g.variable(n).cardinality) for n in query.do + query.given)):
+        probe = engine.QuerySpec(query.targets, tuple(zip(query.do, combo[:split])),
+                                 tuple(zip(query.given, combo[split:])))
+        joint = scm.exact_interventional(m, probe.do_map, query.targets + query.given).fix(probe.given_map)
+        probes.append((probe, DistTable(joint.variables, joint.probs / joint.total())))
+    return probes
+
+
+def _compile(g: Admg, query: scm.CatalogQuery, source, args, rng) -> engine.SamplingNetwork:
+    """The network sampling the query, compiled against `source`."""
     options = dict(proposal=args.proposal, dprime_mult=args.dprime_mult, rng=rng)
     if query.given:
         spec = engine.QuerySpec(
             query.targets, tuple((n, 0) for n in query.do), tuple((n, 0) for n in query.given)
         )
-        network = engine.build_conditional_sampler(spec, g, source, **options)
-    else:
-        y, x = frozenset(query.targets), frozenset(query.do)
-        network = engine.build_network(y, x, g, source, **options).network
-    worst, split = 0.0, len(query.do)
-    for combo in itertools.product(*(range(g.variable(n).cardinality) for n in query.do + query.given)):
-        probe = engine.QuerySpec(query.targets, tuple(zip(query.do, combo[:split])),
-                                 tuple(zip(query.given, combo[split:])))
-        drawn = engine.sample_interventional(network, probe, args.n, rng, workers=args.workers)
-        joint = scm.exact_interventional(m, probe.do_map, query.targets + query.given).fix(probe.given_map)
-        exact = DistTable(joint.variables, joint.probs / joint.total())
-        worst = max(worst, scm.tvd(scm.empirical_distribution(drawn, exact.names), exact))
-    return worst
+        return engine.build_conditional_sampler(spec, g, source, **options)
+    return engine.build_network(frozenset(query.targets), frozenset(query.do), g, source, **options).network
+
+
+def _worst_tvd(network: engine.SamplingNetwork, probes, args, rng) -> float:
+    """The largest TVD of the network's samples from the probes' truths, one
+    sample at a time: each is cut to the scored columns, scored and released
+    before the next is drawn."""
+    def score(probe: engine.QuerySpec, truth: DistTable) -> float:
+        drawn = engine.sample_interventional(network, probe, args.n, rng, workers=args.workers).restrict(truth.names)
+        return scm.tvd(scm.empirical_distribution(drawn, truth.names), truth)
+
+    return max(score(probe, truth) for probe, truth in probes)
 
 
 def cmd_eval(args) -> int:

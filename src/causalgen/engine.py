@@ -17,9 +17,12 @@ error). The recursion reads a source through `fit(target, context)`,
 returns the step-7 source drawn from the inner network's models, the
 proposal's (`proposal_models`) on the newly intervened variables included; the
 placeholders left empty, the anchors (the intervention history), keep the
-current source's values. A source is never narrowed: it may hold columns the
-working graph and the intervention history do not name, and only their names
-are read.
+current source's values. Step 7 hands `regenerate` only the ancestors of s'
+in the inner network (`SamplingNetwork.ancestral`), so both sources draw or
+contract only the columns the rest of the recursion reads: the working
+graph's variables and the history variables that are parents of one of them.
+A source is never narrowed otherwise: it may hold columns beyond these, and
+only their names are read.
 `network_law` is the one definition of a network's distribution.
 """
 
@@ -155,6 +158,15 @@ class SamplingNetwork:
 
     def empty_nodes(self) -> list[str]:
         return [n for n in self.node_order if self.nodes[n] is None]
+
+    def ancestral(self, names: Iterable[str]) -> SamplingNetwork:
+        """The network of `names` and, recursively, every node their models read."""
+        keep = set(names)
+        for name in reversed(self.node_order):  # a model's context precedes it
+            if name in keep and self.nodes[name] is not None:
+                keep.update(self.nodes[name].context_names)
+        nodes = {n: m for n, m in self.nodes.items() if n in keep}
+        return SamplingNetwork({n: self.variables[n] for n in nodes}, nodes, self.global_order)
 
     def edges(self) -> list[tuple[str, str]]:
         out = []
@@ -370,8 +382,12 @@ class RecursionState:
     `g_hat` is the root graph with the edges into `x_hat` and the bidirected
     edges at `x_hat` removed; it is never narrowed, since a model's c-factor
     context is read along the order of `x_hat` and `g`'s names, which sees only
-    the graph induced on them. The source has a column for every variable of
-    `x_hat` and `g` and may have more, which are never read.
+    the graph induced on them. The source has a column for every variable the
+    recursion reads: those of `g`, and each `x_hat` variable that is a parent
+    of one of them in `g_hat`. That covers every c-factor context, since
+    `x_hat` has no bidirected edges and a node's parents lie in its context,
+    the `marginal` proposal, which reads `x` within `g`, and a nested step 7's
+    anchors, the history its models read. It may have more, which are never read.
     """
 
     y: frozenset[str]
@@ -388,8 +404,11 @@ class RecursionState:
             raise EngineError("x_hat must be disjoint from g")
         if any(self.g_hat.parents(n) or any(n in p for p in self.g_hat.bidirected) for n in self.x_hat):
             raise EngineError("x_hat must have no parents or bidirected edges in g_hat")
-        if not self.x_hat.union(self.g.names) <= set(self.source.columns):
-            raise EngineError("data source must have a column for every variable of x_hat and g")
+        read = set(self.g.names)
+        if self.x_hat:
+            read.update(p for n in self.g.names for p in self.g_hat.parents(n) if p in self.x_hat)
+        if not read <= set(self.source.columns):
+            raise EngineError("data source must have a column for every variable of g and every x_hat parent of one")
 
 
 @dataclass
@@ -489,13 +508,16 @@ def apply_partial_intervention(
 ) -> RecursionState:
     """Apply do(X_Z) for X_Z = x minus s_prime: fit samplers for s_prime, redraw
     the working data with X_Z from the proposal, narrow the query and the
-    working graph to s_prime, and cut X_Z's incoming edges from the history graph."""
+    working graph to s_prime, and cut X_Z's incoming edges from the history graph.
+    The redrawn data hold s_prime's ancestors in the inner network alone: the
+    rest of the recursion reads s_prime and what its models read."""
     if not s_prime:
         raise EngineError("empty component for partial intervention")
     x_z = state.x - s_prime
     inner = fit_conditional_models(s_prime, x_z, state, ctx)
     models = proposal_models(ctx.proposal, sorted(x_z, key=ctx.root_order.index), state.g_hat, state.source)
-    source = state.source.regenerate(replace(inner, nodes={**inner.nodes, **models}), ctx.dprime_mult, ctx.rng)
+    inner = replace(inner, nodes={**inner.nodes, **models}).ancestral(s_prime)
+    source = state.source.regenerate(inner, ctx.dprime_mult, ctx.rng)
     return RecursionState(state.y, state.x & s_prime, state.g.induced_subgraph(s_prime), source,
                           state.x_hat | x_z, state.g_hat.remove_incoming(x_z))
 

@@ -45,6 +45,12 @@ def chain_graph():
     return admg("A B C", [("A", "B"), ("B", "C")])
 
 
+def confounded_chain(n: int):
+    """V0 -> ... -> V(n-1) with V0 <-> V(n-1)."""
+    names = [f"V{i}" for i in range(n)]
+    return admg(" ".join(names), list(zip(names, names[1:])), [(names[0], names[-1])])
+
+
 def random_admg(rng: np.random.Generator, max_nodes: int = 6) -> Admg:
     """Random binary ADMG: 3..max_nodes nodes, edge density 0.3-0.6, 0-3 confounded pairs."""
     n = int(rng.integers(3, max_nodes + 1))

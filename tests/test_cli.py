@@ -20,7 +20,7 @@ from causalgen.scm import (
     tvd,
     write_scm,
 )
-from conftest import admg, bow_graph
+from conftest import admg, bow_graph, confounded_chain
 from test_models import savetxt_reference
 
 
@@ -291,6 +291,14 @@ class TestEval:
         assert code == 0
         assert float(row.split("|")[3]) <= sampling_tolerance(2, 5000), row
 
+    def test_each_truth_is_computed_once(self, monkeypatch, capsys):
+        # backdoor's two queries have two and four do- and given-configurations,
+        # and both columns score against each one's truth
+        calls, exact = [], scm.exact_interventional
+        monkeypatch.setattr(scm, "exact_interventional", lambda m, do, keep: calls.append(do) or exact(m, do, keep))
+        assert main(["eval", "--catalog", "backdoor", "--n", "2000", "--obs-n", "2000"]) == 0
+        assert calls == [{"V": 0}, {"V": 1}] + [{"V": 0}, {"V": 0}, {"V": 1}, {"V": 1}]
+
     def test_compile_path_builds_no_joint(self, frontdoor_files, monkeypatch):
         def refuse(m):
             raise AssertionError("the compile path built the joint")
@@ -327,12 +335,6 @@ class TestEval:
             assert main(["eval", "--catalog", entry.name, *args]) == 0
             single += capsys.readouterr().out.splitlines()[2:]
         assert rows == single
-
-
-def confounded_chain(n: int):
-    """V0 -> ... -> V(n-1) with V0 <-> V(n-1)."""
-    names = [f"V{i}" for i in range(n)]
-    return admg(" ".join(names), list(zip(names, names[1:])), [(names[0], names[-1])])
 
 
 def long_chain_sample(tmp_path, n: int) -> list[str]:

@@ -50,6 +50,7 @@ from conftest import (
     admg,
     bow_graph,
     chain_graph,
+    confounded_chain,
     frontdoor_graph,
     napkin_graph,
     oracle_conditional,
@@ -224,6 +225,22 @@ class TestPartialIntervention:
         w2 = empirical_distribution(new.source.dataset, ["W2"])
         truth = exact_joint(m).marginal(["W2"])
         assert tvd(w2, truth) < 0.02
+
+    @pytest.mark.parametrize("proposal", ["uniform", "marginal"])
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("n", [6, 12])
+    def test_chain_source_holds_the_read_set(self, n, exact, proposal):
+        # P(V(n-1) | do(V0)): step 7 intervenes on V1..V(n-2), V(n-1)'s model reads
+        # V0 and V(n-2), and the marginal proposal's V(n-2) reads V1..V(n-3)
+        g = confounded_chain(n)
+        m = noisy_copy_scm(g)
+        source = ExactSource(m.network) if exact else DatasetSource(
+            sample_observational(m, 1000, np.random.default_rng(0)))
+        ctx = step7_states(proposal, {f"V{n - 1}"}, {"V0"}, g, source)
+        ((state, s_prime),) = ctx.step7
+        new = apply_partial_intervention(s_prime, state, ctx)
+        read = {"V0", f"V{n - 2}", f"V{n - 1}"} if proposal == "uniform" else set(g.names)
+        assert set(new.source.columns) == read
 
 
 class TestAncestralSampling:
@@ -525,6 +542,25 @@ class TestBuildNetwork:
         with pytest.raises(EngineError, match="x_hat must be disjoint from g"):
             RecursionState(frozenset({"R"}), frozenset(), g, exact_source(g), frozenset({"X"}), g)
 
+    @staticmethod
+    def chain12_after_step7(columns) -> RecursionState:
+        """P(V11 | do(V0)) on the 12-node confounded chain after step 7, which
+        intervened on V1..V10, against binary data with the given columns."""
+        g = confounded_chain(12)
+        x_hat = frozenset(f"V{i}" for i in range(1, 11))
+        data = Dataset(tuple(map(g.variable, columns)), np.zeros((4, len(columns)), dtype=np.uint8))
+        return RecursionState(frozenset({"V11"}), frozenset({"V0"}), g.induced_subgraph({"V0", "V11"}),
+                              DatasetSource(data), x_hat, g.remove_incoming(x_hat))
+
+    def test_state_accepts_a_source_without_unread_history(self):
+        # V11's model reads V10 of the history, and nothing reads V1..V9
+        state = self.chain12_after_step7(["V0", "V10", "V11"])
+        assert state.x_hat - set(state.source.columns) == {f"V{i}" for i in range(1, 10)}
+
+    def test_state_rejects_a_source_without_a_history_parent(self):
+        with pytest.raises(EngineError, match="every x_hat parent"):
+            self.chain12_after_step7(["V0", *(f"V{i}" for i in range(1, 10)), "V11"])
+
     def test_rejects_bad_arguments(self):
         g = chain_graph()
         src = exact_source(g)
@@ -563,14 +599,14 @@ def point_masses(h: SamplingNetwork, fixed: dict[str, int]) -> list[DistTable]:
     return [DistTable((h.variables[n],), np.eye(h.variables[n].cardinality)[fixed[n]]) for n in h.empty_nodes()]
 
 
-def worst_law_error(m, y, x, seed=0) -> float:
+def worst_law_error(m, y, x, seed=0, proposal="uniform") -> float:
     """Largest deviation of the exact-source network's law from the oracle's
     P(y | do(x)), over every do-configuration."""
-    built = build_network(y, x, m.graph, ExactSource(m.network), rng=np.random.default_rng(seed))
+    built = build_network(y, x, m.graph, ExactSource(m.network), proposal, rng=np.random.default_rng(seed))
     worst = 0.0
     for combo in itertools.product(*(range(m.graph.variable(n).cardinality) for n in sorted(x))):
         do = dict(zip(sorted(x), combo))
-        truth = exact_interventional(m, do).marginal(y)
+        truth = exact_interventional(m, do, m.graph.sorted_names(y))
         law = network_law(built.network, point_masses(built.network, do), truth.names)
         worst = max(worst, float(np.abs(law.probs - truth.probs).max()))
     return worst
@@ -581,14 +617,22 @@ class TestExactNetworkLaw:
     rounding: reduced contexts lose nothing."""
 
     def test_catalog(self):
-        for entry in catalog():
-            for q in entry.queries:
-                if q.identifiable:
-                    g = entry.scm.graph
-                    x, z = maximal_rule2_shift(
-                        frozenset(q.targets), frozenset(q.do), frozenset(q.given), g
-                    )
-                    assert worst_law_error(entry.scm, frozenset(q.targets) | z, x) < 1e-12, entry.name
+        for proposal in ("uniform", "marginal"):
+            for entry in catalog():
+                for q in entry.queries:
+                    if q.identifiable:
+                        g = entry.scm.graph
+                        x, z = maximal_rule2_shift(
+                            frozenset(q.targets), frozenset(q.do), frozenset(q.given), g
+                        )
+                        error = worst_law_error(entry.scm, frozenset(q.targets) | z, x, proposal=proposal)
+                        assert error < 1e-12, (entry.name, proposal)
+
+    @pytest.mark.parametrize("proposal", ["uniform", "marginal"])
+    def test_confounded_chain_n24(self, proposal):
+        # step 7 intervenes on 22 variables, of which V23 reads V22 alone
+        m = noisy_copy_scm(confounded_chain(24))
+        assert worst_law_error(m, frozenset({"V23"}), frozenset({"V0"}), proposal=proposal) < 1e-12
 
     def test_random_identifiable_graphs(self):
         rng = np.random.default_rng(2026)

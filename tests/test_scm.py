@@ -32,7 +32,7 @@ from causalgen.scm import (
     tvd,
     write_scm,
 )
-from conftest import admg, chain_graph, frontdoor_graph, random_admg
+from conftest import admg, chain_graph, confounded_chain, frontdoor_graph, random_admg
 
 
 def enumerate_reference(m: DiscreteScm, do) -> DistTable:
@@ -61,12 +61,6 @@ def enumerate_reference(m: DiscreteScm, do) -> DistTable:
     flat = np.ravel_multi_index([values[name] for name in g.names], cards)
     probs = np.bincount(flat, weights=weights, minlength=math.prod(cards))
     return DistTable(g.variables, probs.reshape(cards))
-
-
-def confounded_chain(n: int):
-    """V0 -> ... -> V(n-1) with V0 <-> V(n-1)."""
-    names = " ".join(f"V{i}" for i in range(n))
-    return admg(names, [(f"V{i}", f"V{i + 1}") for i in range(n - 1)], [("V0", f"V{n - 1}")])
 
 
 def random_mechanism_scm(g, rng) -> DiscreteScm:
