@@ -115,11 +115,11 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _print_hedge(hedge, trace):
-    for entry in trace:
+def _print_hedge(result: identify.IdResult | engine.BuildResult):
+    for entry in result.trace:
         print(f"  {entry.describe()}")
-    print(f"not identifiable: hedge over {{{','.join(sorted(hedge.f))}}} "
-          f"with component {{{','.join(sorted(hedge.f_prime))}}}")
+    print(f"not identifiable: hedge over {{{','.join(sorted(result.hedge.f))}}} "
+          f"with component {{{','.join(sorted(result.hedge.f_prime))}}}")
 
 
 def _identify(q: engine.QuerySpec, g: Admg) -> identify.IdResult:
@@ -134,7 +134,7 @@ def cmd_identify(args) -> int:
     q = _load_query(args.query, g)
     result = _identify(q, g)
     if not result.identifiable:
-        _print_hedge(result.hedge, result.trace)
+        _print_hedge(result)
         return EXIT_HEDGE
     print(format_estimand(result.estimand))
     for entry in result.trace:
@@ -169,20 +169,11 @@ def cmd_sample(args) -> int:
     rng = _rng(args.seed)
     g = _load_graph(args.graph)
     q = _load_query(args.query, g)
-    source = _load_source(args, g)
-    options = dict(proposal=args.proposal, dprime_mult=args.dprime_mult, rng=rng)
-    if q.given:
-        try:
-            network = engine.build_conditional_sampler(q, g, source, **options)
-        except identify.NotIdentifiable as fail:
-            _print_hedge(fail.hedge, [])
-            return EXIT_HEDGE
-    else:
-        result = engine.build_network(frozenset(q.targets), frozenset(q.do_map), g, source, **options)
-        if not result.identifiable:
-            _print_hedge(result.hedge, result.trace)
-            return EXIT_HEDGE
-        network = result.network
+    result = _compile(q, g, _load_source(args, g), args, rng)
+    if not result.identifiable:
+        _print_hedge(result)
+        return EXIT_HEDGE
+    network = result.network
     joint = engine.sample_interventional(network, q, args.n, rng, workers=args.workers)
     samples = joint.restrict(q.targets)
     csv = Path(f"{args.out}.csv")
@@ -199,11 +190,12 @@ def _eval_one(name: str, m: scm.DiscreteScm, query: scm.CatalogQuery, args, rng)
     if not query.identifiable:
         return f"| {label} | HEDGE | HEDGE |"
     probes = _probes(m, query)
+    spec = engine.QuerySpec(query.targets, tuple((n, 0) for n in query.do), tuple((n, 0) for n in query.given))
     obs = scm.sample_observational(m, args.obs_n, rng)
-    network = _compile(m.graph, query, engine.DatasetSource(obs), args, rng)
+    network = _compile(spec, m.graph, engine.DatasetSource(obs), args, rng).network
     del obs  # the network keeps no rows, so they go before any sample is drawn
     fitted = _worst_tvd(network, probes, args, rng)
-    exact = _worst_tvd(_compile(m.graph, query, engine.ExactSource(m.network), args, rng), probes, args, rng)
+    exact = _worst_tvd(_compile(spec, m.graph, engine.ExactSource(m.network), args, rng).network, probes, args, rng)
     return f"| {label} | {fitted:.4f} | {exact:.4f} |"
 
 
@@ -220,15 +212,13 @@ def _probes(m: scm.DiscreteScm, query: scm.CatalogQuery) -> list[tuple[engine.Qu
     return probes
 
 
-def _compile(g: Admg, query: scm.CatalogQuery, source, args, rng) -> engine.SamplingNetwork:
-    """The network sampling the query, compiled against `source`."""
+def _compile(q: engine.QuerySpec, g: Admg, source, args, rng) -> engine.BuildResult:
+    """The query compiled against `source`: its sampling network, or its hedge,
+    with the recursion's trace either way."""
     options = dict(proposal=args.proposal, dprime_mult=args.dprime_mult, rng=rng)
-    if query.given:
-        spec = engine.QuerySpec(
-            query.targets, tuple((n, 0) for n in query.do), tuple((n, 0) for n in query.given)
-        )
-        return engine.build_conditional_sampler(spec, g, source, **options)
-    return engine.build_network(frozenset(query.targets), frozenset(query.do), g, source, **options).network
+    if q.given:
+        return engine.build_conditional_sampler(q, g, source, **options)
+    return engine.build_network(frozenset(q.targets), frozenset(q.do_map), g, source, **options)
 
 
 def _worst_tvd(network: engine.SamplingNetwork, probes, args, rng) -> float:

@@ -41,7 +41,6 @@ from .models import (
     ConditionalModel,
     CptModel,
     Dataset,
-    ExactConditionalModel,
     empty_rows,
     exact_conditional,
     fit_conditional,
@@ -268,7 +267,7 @@ def network_law(h: SamplingNetwork, inputs: Iterable[DistTable], keep: Sequence[
     model's conditional table. The inputs must cover each placeholder a model reads."""
     factors = [(t.names, t.probs) for t in inputs]
     models = [h.nodes[n] for n in h.node_order if h.nodes[n] is not None]
-    factors += [(m.context_names + (m.target.name,), m.conditional_table()) for m in models]
+    factors += [(m.context_names + (m.target.name,), m.table) for m in models]
     probs = contract(factors, keep)  # first, so it refuses a name no table holds
     return DistTable(tuple(h.variables[n] for n in keep), probs)
 
@@ -290,7 +289,6 @@ def _draw_nodes(h: SamplingNetwork, cols: Mapping[str, np.ndarray], filled: Iter
 
 def format_network(h: SamplingNetwork) -> str:
     """Deterministic textual manifest: nodes, model kinds, contexts, payloads."""
-    kinds = {CptModel: "cpt", ExactConditionalModel: "exact"}
     lines = ["order " + " ".join(h.node_order)]
     for name in h.node_order:
         model = h.nodes[name]
@@ -298,11 +296,10 @@ def format_network(h: SamplingNetwork) -> str:
         if model is None:
             lines.append(f"node {name} kind=placeholder card={card}")
             continue
-        kind = kinds.get(type(model), "custom")
-        parts = [f"node {name} kind={kind} card={card}"]
+        parts = [f"node {name} kind={model.kind} card={card}"]
         if model.context_names:
             parts.append("context=" + ",".join(model.context_names))
-        table = model.conditional_table().reshape(-1, card)
+        table = model.table.reshape(-1, card)
         payload = ";".join(",".join(f"{p:.12g}" for p in row) for row in table)
         parts.append("table=" + payload)
         lines.append(" ".join(parts))
@@ -564,15 +561,17 @@ def build_conditional_sampler(
     proposal: str = "uniform",
     dprime_mult: float = 1.0,
     rng: np.random.Generator | None = None,
-) -> SamplingNetwork:
+) -> BuildResult:
     """Network sampling P(y | do(x), z): shift the maximal rule-2 subset of z
     into the do-set, compile the network for P(y, z | do(x)), and regenerate the
     source through it as step 7 does, its inputs (the surviving do-variables)
     drawn from `proposal_models` and `dprime_mult` times the source's rows. Each
     target is then fitted on the regenerated source, given the do- and
     given-variables and the targets before it; an `ExactSource` thus yields
-    exact conditionals. `sample_interventional` draws from the result with the
-    query's do- and given-values fixed."""
+    exact conditionals. The result carries the inner compile's trace, and its
+    hedge when P(y, z | do(x)) is not identifiable, with no network.
+    `sample_interventional` draws from its `network` with the query's do- and
+    given-values fixed."""
     if not query.given:
         raise GraphError("conditional sampler requires a non-empty conditioning set")
     query.validate(g)
@@ -581,8 +580,8 @@ def build_conditional_sampler(
     x, z = maximal_rule2_shift(y, frozenset(query.do_map), frozenset(query.given_map), g)
 
     result = build_network(y | z, x, g, source, proposal=proposal, dprime_mult=dprime_mult, rng=rng)
-    if result.hedge is not None:
-        raise NotIdentifiable(result.hedge)
+    if not result.identifiable:
+        return result
     network = result.network
     models = proposal_models(proposal, network.empty_nodes(), g, source)
     train = source.regenerate(replace(network, nodes={**network.nodes, **models}), dprime_mult, rng)
@@ -593,4 +592,4 @@ def build_conditional_sampler(
     nodes: dict[str, ConditionalModel | None] = dict.fromkeys(context)
     for i, t in enumerate(targets):
         nodes[t] = train.fit(t, context + targets[:i])
-    return SamplingNetwork({n: g.variable(n) for n in keep}, nodes, tuple(context + targets))
+    return replace(result, network=SamplingNetwork({n: g.variable(n) for n in keep}, nodes, tuple(context + targets)))

@@ -64,9 +64,6 @@ class TraceEntry:
         return f"{self.step} y={{{','.join(sorted(self.y))}}} x={{{','.join(sorted(self.x))}}}"
 
 
-TERMINAL_STEPS = {"S1", "S5", "S6"}
-
-
 @dataclass
 class IdResult:
     estimand: Estimand | None

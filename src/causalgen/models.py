@@ -30,11 +30,11 @@ every column and keeps it, while those counts take no more bytes than the
 rows, so every fit of a build sums over one table instead of recounting the
 rows.
 
-A conditional model maps a full context assignment to a distribution over one
-target variable; it is the single plug-in seam between the network compiler and
-whatever actually produces samples. The discrete implementations here are
-Laplace-smoothed conditional probability tables fitted from data and exact
-conditionals extracted from a known joint.
+A conditional model is a table: one target variable's distribution for each
+full assignment of its context. `engine.network_law`, the ancestral draw and
+the manifest all read that table. It comes as a Laplace-smoothed CPT fitted
+from data (strictly positive) or as an exact conditional of a known law
+(non-negative).
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import ClassVar, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -437,18 +437,28 @@ def _read_sidecar(path: Path) -> tuple[dict[str, int], frozenset[str]]:
 # -- conditional models ---------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class ConditionalModel:
-    """Sampler for one variable given a fixed context.
-
-    Subclasses provide `conditional_table`, an array of shape
-    (context cardinalities..., target cardinality) whose last axis sums to one.
+    """A conditional probability table: the law of one target variable given a
+    full assignment of its context. `table` has shape (context
+    cardinalities..., target cardinality) and its last axis sums to one, which
+    the constructor checks. Build one through a subclass, which adds its sign
+    check and names its `kind` in the manifest.
     """
 
     target: Variable
     context: tuple[Variable, ...]
+    table: np.ndarray
 
-    def conditional_table(self) -> np.ndarray:
-        raise NotImplementedError
+    kind: ClassVar[str]
+
+    def __post_init__(self):
+        expected = tuple(v.cardinality for v in self.context) + (self.target.cardinality,)
+        if self.table.shape != expected:
+            raise DataError(f"table shape {self.table.shape} != {expected}")
+        # the negated test also rejects a NaN sum
+        if not np.abs(self.table.sum(axis=-1) - 1.0).max() <= 1e-9:
+            raise DataError("conditional rows must sum to 1")
 
     @property
     def context_names(self) -> tuple[str, ...]:
@@ -465,7 +475,29 @@ class ConditionalModel:
         columns = [ctx_cols[v.name] for v in self.context]
         for v, col in zip(self.context, columns):
             _check_states(v, col)
-        return draw_categorical(self.conditional_table(), columns, n, rng, out)
+        return draw_categorical(self.table, columns, n, rng, out)
+
+
+class CptModel(ConditionalModel):
+    """Conditional probability table fitted from data (Laplace-smoothed)."""
+
+    kind = "cpt"
+
+    def __post_init__(self):
+        super().__post_init__()
+        if np.any(self.table <= 0):
+            raise DataError("cpt rows must be strictly positive (smoothed)")
+
+
+class ExactConditionalModel(ConditionalModel):
+    """Conditional extracted exactly from a known joint table."""
+
+    kind = "exact"
+
+    def __post_init__(self):
+        super().__post_init__()
+        if (self.table < 0).any():
+            raise DataError("conditional probabilities must be non-negative")
 
 
 def joint_index(columns: Sequence[np.ndarray], cards: Sequence[int], n: int) -> np.ndarray:
@@ -574,50 +606,6 @@ def draw_categorical(table: np.ndarray, context: Sequence[np.ndarray], n: int,
             index = np.add(row, state, out=probe[:c])
             state += dtype.type(step) * (u >= thresholds[step:][index])
     return states
-
-
-def _check_table(model: CptModel | ExactConditionalModel) -> None:
-    """The table has shape (context cardinalities..., target cardinality) and rows summing to 1."""
-    expected = tuple(v.cardinality for v in model.context) + (model.target.cardinality,)
-    if model.table.shape != expected:
-        raise DataError(f"table shape {model.table.shape} != {expected}")
-    # the negated test also rejects a NaN sum
-    if not np.abs(model.table.sum(axis=-1) - 1.0).max() <= 1e-9:
-        raise DataError("conditional rows must sum to 1")
-
-
-@dataclass(frozen=True)
-class CptModel(ConditionalModel):
-    """Conditional probability table fitted from data (Laplace-smoothed)."""
-
-    target: Variable
-    context: tuple[Variable, ...]
-    table: np.ndarray  # shape (context cards..., target card)
-
-    def __post_init__(self):
-        _check_table(self)
-        if np.any(self.table <= 0):
-            raise DataError("cpt rows must be strictly positive (smoothed)")
-
-    def conditional_table(self) -> np.ndarray:
-        return self.table
-
-
-@dataclass(frozen=True)
-class ExactConditionalModel(ConditionalModel):
-    """Conditional extracted exactly from a known joint table."""
-
-    target: Variable
-    context: tuple[Variable, ...]
-    table: np.ndarray
-
-    def __post_init__(self):
-        _check_table(self)
-        if (self.table < 0).any():
-            raise DataError("conditional probabilities must be non-negative")
-
-    def conditional_table(self) -> np.ndarray:
-        return self.table
 
 
 def fit_conditional(d: Dataset, target: str, context: Sequence[str]) -> CptModel:

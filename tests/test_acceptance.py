@@ -243,7 +243,7 @@ def test_c7_conditional_queries():
     sampler = build_conditional_sampler(
         QuerySpec(("I",), (("V", 0),), (("A", 0),)), g, DatasetSource(data),
         rng=np.random.default_rng(71),
-    )
+    ).network
     table = evaluate_estimand(identify_conditional_effect({"I"}, {"V"}, {"A"}, g).estimand, joint)
     rng = np.random.default_rng(72)
     for v in range(2):
@@ -261,7 +261,7 @@ def test_c7_conditional_queries():
     csampler = build_conditional_sampler(
         QuerySpec(("C",), (("A", 0),), (("B", 0),)), cg, DatasetSource(cdata),
         rng=np.random.default_rng(74),
-    )
+    ).network
     ctable = evaluate_estimand(identify_conditional_effect({"C"}, {"A"}, {"B"}, cg).estimand, cjoint)
     for a in range(2):
         for b in range(2):

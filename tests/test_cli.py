@@ -249,6 +249,23 @@ class TestSample:
                      "--scm", str(tmp_path / "bow.scm"), "--n", "10", "--out", str(tmp_path / "o")])
         assert code == 2
 
+    def test_conditional_hedge_prints_the_trace_identify_prints(self, tmp_path, capsys):
+        # Z stays given (no rule-2 shift), and P(Y, Z | do(X)) hedges at step 5 after step 7
+        write_scm(noisy_copy_scm(admg("Z X Y", [("Z", "X"), ("X", "Y")], [("X", "Y")])),
+                  tmp_path / "g.scm", tmp_path / "g.graph")
+        obs = str(tmp_path / "obs.csv")
+        assert main(["gen-data", "--scm", str(tmp_path / "g.scm"), "--n", "100", "--out", obs]) == 0
+        (tmp_path / "q.txt").write_text("target=Y\ndo=X=1\ngiven=Z=0\n")
+        files = ["--graph", str(tmp_path / "g.graph"), "--query", str(tmp_path / "q.txt")]
+        capsys.readouterr()
+        assert main(["identify", *files]) == 2
+        expected = capsys.readouterr().out
+        assert main(["sample", *files, "--data", obs, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().out == expected
+        lines = expected.splitlines()
+        assert [line.split()[0] for line in lines[:-1]] == ["S7", "S5"]
+        assert lines[-1] == "not identifiable: hedge over {X,Y} with component {Y}"
+
     def test_rejects_nonpositive_n(self, frontdoor_files):
         code = main(["sample", "--graph", str(frontdoor_files / "frontdoor.graph"),
                      "--query", str(frontdoor_files / "query.txt"),

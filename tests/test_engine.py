@@ -593,6 +593,16 @@ class TestBuildNetwork:
             "node Y kind=exact card=2 context=X table=0.34,0.66;0.66,0.34\n"
         )
 
+    def test_manifest_golden_model_kinds(self):
+        x, y = Variable("X", 2), Variable("Y", 3)
+        nodes = {"X": CptModel(x, (), np.array([1 / 3, 2 / 3])),
+                 "Y": ExactConditionalModel(y, (x,), np.array([[1.0, 0.0, 0.0], [0.2, 0.3, 0.5]]))}
+        assert format_network(SamplingNetwork({"X": x, "Y": y}, nodes, ("X", "Y"))) == (
+            "order X Y\n"
+            "node X kind=cpt card=2 table=0.333333333333,0.666666666667\n"
+            "node Y kind=exact card=3 context=X table=1,0,0;0.2,0.3,0.5\n"
+        )
+
 
 def point_masses(h: SamplingNetwork, fixed: dict[str, int]) -> list[DistTable]:
     """Each placeholder of `h` as a point mass at its value in `fixed`."""
@@ -710,7 +720,7 @@ class TestConditionalSampler:
         sampler = build_conditional_sampler(
             QuerySpec(("C",), (("A", 0),), (("B", 0),)), g, ExactSource(m.network),
             rng=np.random.default_rng(0),
-        )
+        ).network
         assert sampler.nodes["C"].context_names == ("A", "B")
         assert set(sampler.empty_nodes()) == {"A", "B"}
         pbc = joint.marginal(["B", "C"])
@@ -725,12 +735,10 @@ class TestConditionalSampler:
 
     def test_hedge_propagates(self):
         g = admg("X Y Z", [("X", "Y"), ("Y", "Z")], [("X", "Y")])
-        from causalgen.identify import NotIdentifiable
-
-        with pytest.raises(NotIdentifiable):
-            build_conditional_sampler(
-                QuerySpec(("Y",), (("X", 0),), (("Z", 0),)), g, exact_source(g)
-            )
+        result = build_conditional_sampler(QuerySpec(("Y",), (("X", 0),), (("Z", 0),)), g, exact_source(g))
+        assert not result.identifiable and result.network is None
+        assert (result.hedge.f, result.hedge.f_prime) == ({"X", "Y"}, {"Y"})
+        assert result.trace
 
     def test_multi_target_chain_sampler(self):
         g = admg("A B C D", [("A", "B"), ("B", "C"), ("C", "D")])
@@ -739,7 +747,7 @@ class TestConditionalSampler:
         sampler = build_conditional_sampler(
             QuerySpec(("C", "D"), (("A", 0),), (("B", 0),)), g, ExactSource(m.network),
             rng=np.random.default_rng(0),
-        )
+        ).network
         # in the chain, P(c,d | do(a), b) = P(c,d | b)
         pbcd = joint.marginal(["B", "C", "D"])
         cond = pbcd.probs / pbcd.probs.sum(axis=(1, 2), keepdims=True)
@@ -768,7 +776,7 @@ class TestConditionalSampler:
         m = scm_of()
         g, joint = m.graph, exact_joint(m)
         query = QuerySpec(targets, tuple((n, 0) for n in do), tuple((n, 0) for n in given))
-        sampler = build_conditional_sampler(query, g, ExactSource(m.network), rng=np.random.default_rng(0))
+        sampler = build_conditional_sampler(query, g, ExactSource(m.network), rng=np.random.default_rng(0)).network
         truth = evaluate_estimand(identify_conditional_effect(targets, do, given, g).estimand, joint)
         inputs = sampler.empty_nodes()
         modelled = [n for n in sampler.node_order if n not in inputs]
@@ -792,7 +800,7 @@ class TestConditionalSampler:
         sampler = build_conditional_sampler(
             QuerySpec(("I",), (("V", 0),), (("A", 0),)), g, DatasetSource(data),
             proposal="marginal", rng=np.random.default_rng(71),
-        )
+        ).network
         table = evaluate_estimand(
             identify_conditional_effect({"I"}, {"V"}, {"A"}, g).estimand, exact_joint(entry.scm)
         )

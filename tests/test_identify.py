@@ -6,7 +6,6 @@ import pytest
 from causalgen.estimands import evaluate_estimand, format_estimand
 from causalgen.graphs import GraphError
 from causalgen.identify import (
-    TERMINAL_STEPS,
     Hedge,
     identify_conditional_effect,
     identify_effect,
@@ -157,7 +156,7 @@ class TestUnconditional:
             for i, entry in enumerate(entries):
                 nxt = entries[i + 1] if i + 1 < len(entries) else None
                 if nxt is None or nxt.depth <= entry.depth:
-                    assert entry.step in TERMINAL_STEPS
+                    assert entry.step in {"S1", "S5", "S6"}
 
     def test_estimand_sound_on_random_identifiable_queries(self):
         rng = np.random.default_rng(5)

@@ -720,8 +720,15 @@ class TestExactConditional:
         ],
     )
     def test_rejects_bad_table(self, table):
-        with pytest.raises(DataError):
-            ExactConditionalModel(Variable("Y", 2), (Variable("X", 2),), table)
+        for model in (CptModel, ExactConditionalModel):
+            with pytest.raises(DataError):
+                model(Variable("Y", 2), (Variable("X", 2),), table)
+
+    def test_a_zero_entry_is_refused_by_a_cpt_alone(self):
+        table = np.array([[1.0, 0.0], [0.5, 0.5]])
+        with pytest.raises(DataError, match="strictly positive"):
+            CptModel(Variable("Y", 2), (Variable("X", 2),), table)
+        ExactConditionalModel(Variable("Y", 2), (Variable("X", 2),), table)  # which an exact model takes
 
     def test_zero_mass_context_raises(self):
         from causalgen.estimands import DistTable
